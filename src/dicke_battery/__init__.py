@@ -10,11 +10,13 @@ of the photon-starved regimes.
 
 from .analysis import (
     FlipDetectionError,
+    FlipSummary,
     ProtocolReport,
     QslReport,
     compare_protocols,
     detect_flip_time,
     effective_coupling_equivalence,
+    flip_summary,
     qsl_report,
     universal_flip_time,
     verify_algebraic_identity,
@@ -44,7 +46,6 @@ from .observables import (
 from .operators import (
     ModelParams,
     TridiagonalOperator,
-    coupling_commutes_with_rest,
     exact_tc_matrix,
     large_n_matrix,
 )
@@ -63,54 +64,3 @@ from .spectra import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FlipDetectionError",
-    "ProtocolReport",
-    "QslReport",
-    "compare_protocols",
-    "detect_flip_time",
-    "effective_coupling_equivalence",
-    "qsl_report",
-    "universal_flip_time",
-    "verify_algebraic_identity",
-    "OBSERVABLE_NAMES",
-    "ObservableSeries",
-    "SimulationConfig",
-    "evolve",
-    "run",
-    "sector_operator",
-    "SectorBasis",
-    "SectorState",
-    "build_sector",
-    "initial_state",
-    "target_state",
-    "average_power",
-    "cos_theta",
-    "energy_variance",
-    "flip_fidelity",
-    "operator_expectation",
-    "pairwise_concurrence",
-    "single_spin_density",
-    "stored_energy",
-    "two_spin_density",
-    "up_fraction",
-    "von_neumann_entropy",
-    "ModelParams",
-    "TridiagonalOperator",
-    "coupling_commutes_with_rest",
-    "exact_tc_matrix",
-    "large_n_matrix",
-    "EigenSolverError",
-    "EigenSystem",
-    "PseudoHermiteFamily",
-    "analytic_eigenvalues",
-    "analytic_eigenvectors",
-    "binomial_weighted_inner",
-    "eigendecompose",
-    "pseudo_hermite",
-    "pseudo_hermite_family",
-    "rodrigues_residual",
-    "scaled_pseudo_hermite",
-    "__version__",
-]

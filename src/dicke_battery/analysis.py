@@ -109,20 +109,61 @@ def verify_algebraic_identity(N: int) -> float:
     return total + (-1.0) ** m * _binomial_fraction(N, m)
 
 
-def _detected_flip(
-    N: int, n: int, params: ModelParams, model: str, steps: int
-) -> tuple[float, float]:
-    expected = universal_flip_time(N, params.g, n)
+@dataclass(frozen=True)
+class FlipSummary:
+    """One charging run measured against the analytic flip time.
+
+    status is "ok" when a fidelity peak above 0.5 was detected, "partial"
+    when none was and the refined global fidelity maximum is reported
+    instead, and "unreachable" when n < N puts full charge outside the
+    sector; nothing is simulated then and the measured fields are None.
+    tau_analytic is closed-form; tau_detected and peak_fidelity are measured.
+    """
+
+    status: str
+    tau_analytic: float
+    tau_detected: float | None
+    peak_fidelity: float | None
+
+
+def flip_summary(
+    N: int, n: int, params: ModelParams, model: str, steps: int, window: float
+) -> FlipSummary:
+    """Simulate fidelity over [0, window * tau] and summarize the flip."""
+    tau = universal_flip_time(N, params.g, n)
+    if n < N:
+        return FlipSummary("unreachable", tau, None, None)
     config = SimulationConfig(
         N=N,
         n=n,
         params=params,
-        t_max=1.3 * expected,
+        t_max=window * tau,
         steps=steps,
         model=model,
         record=("fidelity",),
     )
-    return detect_flip_time(run(config))
+    series = run(config)
+    try:
+        detected, peak = detect_flip_time(series)
+    except FlipDetectionError:
+        # degraded charging never crosses the flip threshold; report the
+        # best the protocol achieves in the window instead
+        fidelity = series["fidelity"]
+        i = int(fidelity.argmax())
+        if 0 < i < fidelity.size - 1:
+            return FlipSummary("partial", tau, *_refine_peak(series.times, fidelity, i))
+        return FlipSummary("partial", tau, float(series.times[i]), float(fidelity[i]))
+    return FlipSummary("ok", tau, detected, peak)
+
+
+def _require_flip(summary: FlipSummary) -> tuple[float, float]:
+    """Detected flip time and height; FlipDetectionError unless status is ok."""
+    if summary.status != "ok":
+        raise FlipDetectionError(
+            f"no flip found: status {summary.status}, "
+            f"best fidelity {summary.peak_fidelity} in the window"
+        )
+    return summary.tau_detected, summary.peak_fidelity
 
 
 @dataclass(frozen=True)
@@ -169,8 +210,10 @@ def compare_protocols(
     tau_collective = universal_flip_time(N, g, N * n)
     stored = N * omega_a
     params = ModelParams(g=g, omega=omega_a)
-    detected_parallel, _ = _detected_flip(1, n, params, model, steps)
-    detected_collective, fidelity_peak = _detected_flip(N, N * n, params, model, steps)
+    detected_parallel, _ = _require_flip(flip_summary(1, n, params, model, steps, window=1.3))
+    detected_collective, fidelity_peak = _require_flip(
+        flip_summary(N, N * n, params, model, steps, window=1.3)
+    )
     power_parallel = stored / tau_parallel
     power_collective = stored / tau_collective
     return ProtocolReport(
@@ -243,6 +286,10 @@ def effective_coupling_equivalence(
     """
     if N < 1 or n < 1:
         raise ValueError(f"need N >= 1 and n >= 1, got N={N}, n={n}")
-    collective, _ = _detected_flip(N, N * n, ModelParams(g=g), model, steps)
-    boosted, _ = _detected_flip(1, n, ModelParams(g=g * math.sqrt(N)), model, steps)
+    collective, _ = _require_flip(
+        flip_summary(N, N * n, ModelParams(g=g), model, steps, window=1.3)
+    )
+    boosted, _ = _require_flip(
+        flip_summary(1, n, ModelParams(g=g * math.sqrt(N)), model, steps, window=1.3)
+    )
     return abs(collective / boosted - 1.0)

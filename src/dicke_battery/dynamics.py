@@ -49,6 +49,11 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
+        if self.model == "large_n" and self.n < self.N:
+            raise ValueError(
+                f"large_n model needs n >= N so the {self.N + 1}-rung ladder exists, "
+                f"got N={self.N}, n={self.n}"
+            )
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.steps < 2:

@@ -17,8 +17,6 @@ import numpy as np
 
 from .hilbert import SectorBasis
 
-COMMUTATOR_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -102,10 +100,7 @@ def exact_tc_matrix(basis: SectorBasis, params: ModelParams) -> TridiagonalOpera
     element sqrt((N-k)(k+1)) and the photon annihilation factor
     sqrt(n-k).
     """
-    dim = basis.dimension
-    rest = np.empty(dim)
-    for k in range(dim):
-        rest[k] = params.omega * (basis.photon_count(k) + basis.m_value(k))
+    rest = np.full(basis.dimension, params.omega * basis.excitation_number)
     k = np.arange(basis.K, dtype=float)
     off = params.g * np.sqrt((basis.n - k) * (basis.N - k) * (k + 1.0))
     return TridiagonalOperator(diagonal=rest, offdiagonal=off)
@@ -123,21 +118,3 @@ def large_n_matrix(N: int, params: ModelParams, n: int) -> TridiagonalOperator:
     k = np.arange(1, N + 1, dtype=float)
     off = params.g * math.sqrt(n) * np.sqrt((N - k + 1.0) * k)
     return TridiagonalOperator(diagonal=np.zeros(N + 1), offdiagonal=off)
-
-
-def coupling_commutes_with_rest(basis: SectorBasis, params: ModelParams) -> bool:
-    """Check that the coupling commutes with the cavity + spin rest energy.
-
-    Both are built on the sector: the rest term is diagonal, so the
-    commutator with the coupling band c_k has entries c_k * (r_{k+1} - r_k)
-    and nothing else.  The rest energy is the same on every rung, which is
-    exactly why one excitation-conserving sector suffices.
-    """
-    full = exact_tc_matrix(basis, params)
-    rest = full.diagonal
-    coupling = full.offdiagonal
-    commutator = coupling * (rest[1:] - rest[:-1])
-    magnitude = float(np.max(np.abs(commutator))) if commutator.size else 0.0
-    coupling_scale = float(np.max(np.abs(coupling))) if coupling.size else 0.0
-    scale = max(coupling_scale, 1.0) * max(float(np.max(np.abs(rest))), 1.0)
-    return magnitude < COMMUTATOR_TOL * scale

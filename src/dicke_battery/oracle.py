@@ -69,16 +69,9 @@ def _spin_operator(N: int, j: int, op: np.ndarray) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def brute_force_hamiltonian(
-    N: int, n_max: int, params: ModelParams, rwa: bool = True
-) -> np.ndarray:
-    """Dense Hamiltonian on the full space.
-
-    rwa=True keeps only the excitation-conserving coupling
-    g (S+ a + S- a†); rwa=False builds the full non-conserving coupling
-    g (S+ + S-)(a + a†) for comparison purposes (it is never propagated
-    here).
-    """
+def brute_force_hamiltonian(N: int, n_max: int, params: ModelParams) -> np.ndarray:
+    """Dense Hamiltonian on the full space with the excitation-conserving
+    coupling g (S+ a + S- a†), the one the sector ladder reduces."""
     _check_sizes(N, n_max)
     M = n_max + 1
     annihilate = np.diag(np.sqrt(np.arange(1.0, M)), k=1)
@@ -89,10 +82,7 @@ def brute_force_hamiltonian(
 
     H = params.omega * np.kron(np.eye(2**N), create @ annihilate)
     H += params.omega * np.kron(spin_z, np.eye(M))
-    if rwa:
-        H += params.g * (np.kron(spin_raise, annihilate) + np.kron(spin_lower, create))
-    else:
-        H += params.g * np.kron(spin_raise + spin_lower, annihilate + create)
+    H += params.g * (np.kron(spin_raise, annihilate) + np.kron(spin_lower, create))
     return H
 
 
@@ -125,7 +115,7 @@ def brute_force_evolve(N: int, n: int, params: ModelParams, t: float) -> FullSta
         raise ValueError(f"time must be non-negative, got {t}")
     n_max = n + N + 2
     _check_sizes(N, n_max)
-    H = brute_force_hamiltonian(N, n_max, params, rwa=True)
+    H = brute_force_hamiltonian(N, n_max, params)
     psi0 = discharged_state(N, n, n_max).vector
     values, vectors = scipy.linalg.eigh(H)
     psi = vectors @ (np.exp(-1j * values * t) * (vectors.T @ psi0))

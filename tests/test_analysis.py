@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from dicke_battery import analysis
 from dicke_battery.analysis import (
     FlipDetectionError,
+    FlipSummary,
     ProtocolReport,
     compare_protocols,
     detect_flip_time,
     effective_coupling_equivalence,
+    flip_summary,
     qsl_report,
     universal_flip_time,
     verify_algebraic_identity,
@@ -87,6 +90,45 @@ def test_detect_flip_time_skips_early_ripples():
     detected, height = detect_flip_time(series)
     assert detected == pytest.approx(0.7, abs=0.01)
     assert height > 0.9
+
+
+def test_flip_summary_ok_on_clean_flip():
+    summary = flip_summary(3, 40, ModelParams(), "exact", 2000, window=2.5)
+    assert summary.status == "ok"
+    assert summary.tau_analytic == universal_flip_time(3, 1.0, 40)
+    assert summary.tau_detected == pytest.approx(summary.tau_analytic, rel=0.05)
+    assert summary.peak_fidelity > 0.5
+
+
+def test_flip_summary_partial_reports_global_maximum():
+    # n = N: the fidelity never reaches 0.5, the best peak in the window stands in
+    summary = flip_summary(30, 30, ModelParams(), "exact", 2000, window=2.5)
+    assert summary.status == "partial"
+    assert summary.peak_fidelity == pytest.approx(0.32, abs=0.01)
+    assert 0.0 < summary.tau_detected < 2.5 * summary.tau_analytic
+
+
+@pytest.mark.parametrize("model", ["exact", "large_n"])
+def test_flip_summary_unreachable_runs_nothing(model, monkeypatch):
+    def no_run(config):
+        raise AssertionError("an unreachable point must not be simulated")
+
+    monkeypatch.setattr(analysis, "run", no_run)
+    summary = flip_summary(10, 5, ModelParams(), model, 2000, window=2.5)
+    assert summary.status == "unreachable"
+    assert summary.tau_analytic == universal_flip_time(10, 1.0, 5)
+    assert summary.tau_detected is None and summary.peak_fidelity is None
+
+
+def test_flip_measurements_need_a_detected_flip(monkeypatch):
+    def partial(*args, **kwargs):
+        return FlipSummary("partial", 1.0, 0.9, 0.3)
+
+    monkeypatch.setattr(analysis, "flip_summary", partial)
+    with pytest.raises(FlipDetectionError, match="partial"):
+        compare_protocols(2, 10)
+    with pytest.raises(FlipDetectionError, match="partial"):
+        effective_coupling_equivalence(2, 10)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 12, 40, 51, 120, 200])

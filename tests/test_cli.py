@@ -220,7 +220,7 @@ def test_sweep_grid_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_is_deterministic_despite_threads(tmp_path, capsys):
+def test_sweep_output_is_deterministic(tmp_path, capsys):
     args = ["sweep", "--spins", "1,3,5", "--photons", "30,60", "--steps", "900",
             "--out", str(tmp_path / "sweep.csv")]
     assert cli.main(args) == 0
@@ -290,26 +290,41 @@ def test_csv_round_trip_is_byte_identical(tmp_path, capsys):
 
 
 def test_sweep_starved_point_reports_peak_without_flip(capsys):
-    code, out, _ = run_cli(
-        capsys, ["sweep", "--spins", "4", "--photons", "2", "--steps", "300"]
-    )
+    # one photon per spin: the flip stays partial, the best fidelity is reported
+    code, out, _ = run_cli(capsys, ["sweep", "--spins", "30", "--photons", "30"])
     assert code == 0
     cells = out.strip().split("\n")[1].split(",")
-    assert cells[6] == "ok"
-    assert float(cells[4]) < 0.5  # never flips, best fidelity reported instead
+    assert cells[6] == "partial"
+    assert float(cells[4]) == pytest.approx(0.32, abs=0.01)
+    assert 0.0 < float(cells[3]) < 2.5 * float(cells[2])
 
 
-def test_sweep_error_point_and_exit_code(capsys):
-    # large-n needs n >= N: the only grid point fails, so the sweep fails
+def test_sweep_marks_unreachable_points(capsys):
+    # full charge needs n >= N; N = 3 with 2 photons is not simulated
+    code, out, err = run_cli(capsys, ["sweep", "--spins", "1:3", "--photons", "2"])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[6] for row in rows] == ["ok", "ok", "unreachable"]
+    assert rows[2][3] == "" and rows[2][4] == ""
+    assert float(rows[2][2]) == pytest.approx(math.pi / (2 * math.sqrt(2)), rel=1e-12)
+    assert float(rows[2][5]) == pytest.approx(math.sqrt(3), rel=1e-12)
+    code, out, _ = run_cli(capsys, ["sweep", "--spins", "4", "--photons", "2", "--steps", "300"])
+    assert code == 0
+    assert out.strip().split("\n")[1].split(",")[6] == "unreachable"
+
+
+def test_sweep_unreachable_large_n_point_exits_zero(capsys):
+    # large-n needs n >= N: the only grid point is unreachable, not an error
     code, out, err = run_cli(
         capsys, ["sweep", "--spins", "5", "--photons", "3", "--model", "large-n"]
     )
-    assert code == 3
-    assert "error" in out.strip().split("\n")[1]
-    assert "every sweep point failed" in err
+    assert code == 0 and err == ""
+    cells = out.strip().split("\n")[1].split(",")
+    assert cells[6] == "unreachable"
+    assert cells[3] == "" and cells[4] == ""
 
 
-def test_sweep_mixed_errors_still_succeed(capsys):
+def test_sweep_mixes_reachable_and_unreachable_points(capsys):
     code, out, _ = run_cli(
         capsys,
         ["sweep", "--spins", "2,5", "--photons", "3", "--model", "large-n",
@@ -318,7 +333,19 @@ def test_sweep_mixed_errors_still_succeed(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[1].split(",")[6] == "ok"
-    assert lines[2].split(",")[6].startswith("error")
+    assert lines[2].split(",")[6] == "unreachable"
+
+
+def test_sweep_runtime_error_exits_three(capsys, monkeypatch):
+    # no per-point catch: a failing run aborts the sweep with a runtime error
+    def broken(config):
+        raise RuntimeError("eigensolver diverged")
+
+    monkeypatch.setattr(cli.analysis, "run", broken)
+    code, out, err = run_cli(capsys, ["sweep", "--spins", "2", "--photons", "9"])
+    assert code == 3
+    assert out == ""
+    assert "eigensolver diverged" in err
 
 
 def test_sweep_flag_validation(capsys):

@@ -82,6 +82,14 @@ def test_sector_operator_large_n_needs_enough_photons():
         sector_operator(build_sector(5, 3), ModelParams(), "large_n")
 
 
+def test_config_rejects_starved_large_n():
+    # the check sits in the config, so no operator is built to find out
+    with pytest.raises(ValueError, match="n >= N"):
+        SimulationConfig(N=5, n=3, params=ModelParams(), t_max=1.0, steps=10, model="large_n")
+    SimulationConfig(N=5, n=3, params=ModelParams(), t_max=1.0, steps=10, model="exact")
+    SimulationConfig(N=5, n=5, params=ModelParams(), t_max=1.0, steps=10, model="large_n")
+
+
 def test_config_validation():
     params = ModelParams()
     with pytest.raises(ValueError, match="unknown model"):
