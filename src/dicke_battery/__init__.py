@@ -31,14 +31,12 @@ from .dynamics import (
 )
 from .hilbert import SectorBasis, SectorState, build_sector, initial_state, target_state
 from .observables import (
-    average_power,
+    SpinMoments,
     cos_theta,
     energy_variance,
-    flip_fidelity,
-    operator_expectation,
     pairwise_concurrence,
     single_spin_density,
-    stored_energy,
+    spin_moments,
     two_spin_density,
     up_fraction,
     von_neumann_entropy,

@@ -418,13 +418,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         photon_lists = {N: [int(round(args.photons_per_spin * N))] for N in spins}
     else:
         raise ConfigError("sweep needs --photons or --photons-per-spin")
+    points = [(N, n) for N in spins for n in photon_lists[N]]
+    for N, n in points:
+        if N < 1 or n < 1:
+            raise ConfigError(f"grid point N={N}, n={n}: need N >= 1 and n >= 1")
     model = _normalize_model(args.model)
     params = ModelParams(g=args.coupling, omega=args.omega)
     header = ["N", "n", "tau_analytic", "tau_detected", "peak_fidelity", "power_ratio", "status"]
     table = [
         [N, n, flip.tau_analytic, flip.tau_detected, flip.peak_fidelity, math.sqrt(N), flip.status]
-        for N in spins
-        for n in photon_lists[N]
+        for N, n in points
         for flip in (analysis.flip_summary(N, n, params, model, args.steps, window=2.5),)
     ]
     outputs = _emit(_csv_text(header, table), args.out)

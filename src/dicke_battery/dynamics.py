@@ -146,41 +146,31 @@ def run(config: SimulationConfig) -> ObservableSeries:
     amplitudes = eigensystem.eigenvectors @ (phases * weights[:, None])
 
     populations = np.abs(amplitudes) ** 2
-    k = basis.k_values().astype(float)
     wanted = set(config.record)
     data: dict[str, np.ndarray] = {}
 
-    if "W_over_capacity" in wanted or "cos_theta" in wanted:
-        # stored energy over capacity: omega_a sum k|c_k|^2 / (N omega_a)
-        p = (populations * k[:, None]).sum(axis=0) / basis.N
-        if "W_over_capacity" in wanted:
-            data["W_over_capacity"] = p
-        if "cos_theta" in wanted:
-            data["cos_theta"] = 2.0 * p - 1.0
     if "fidelity" in wanted:
         if basis.n >= basis.N:
             data["fidelity"] = populations[basis.N]
         else:
             # the fully charged product state lies outside the reachable sector
             data["fidelity"] = np.zeros_like(times)
-    if "excitation" in wanted:
-        total = np.array([basis.photon_count(i) + basis.m_value(i) for i in range(basis.dimension)])
-        data["excitation"] = total @ populations
-    if "norm" in wanted:
-        data["norm"] = np.sqrt(populations.sum(axis=0))
-    if "entropy_spin1" in wanted or "concurrence" in wanted:
-        entropy = np.empty_like(times)
-        concurrence = np.empty_like(times)
-        for i in range(times.size):
-            state = SectorState(basis, amplitudes[:, i])
-            entropy[i] = observables.von_neumann_entropy(observables.single_spin_density(state))
-            if basis.N >= 2:
-                concurrence[i] = observables.pairwise_concurrence(observables.two_spin_density(state))
-            else:
-                concurrence[i] = 0.0  # no pair to entangle
+    if "excitation" in wanted or "norm" in wanted:
+        total = populations.sum(axis=0)
+        if "excitation" in wanted:
+            # a†a + S_z is the same constant on every rung
+            data["excitation"] = basis.excitation_number * total
+        if "norm" in wanted:
+            data["norm"] = np.sqrt(total)
+    if wanted & {"W_over_capacity", "entropy_spin1", "concurrence", "cos_theta"}:
+        moments = observables.spin_moments(populations, basis.N)
+        if "W_over_capacity" in wanted:
+            data["W_over_capacity"] = moments.p
         if "entropy_spin1" in wanted:
-            data["entropy_spin1"] = entropy
+            data["entropy_spin1"] = moments.entropy()
         if "concurrence" in wanted:
-            data["concurrence"] = concurrence
+            data["concurrence"] = moments.concurrence()
+        if "cos_theta" in wanted:
+            data["cos_theta"] = moments.cos_theta()
 
     return ObservableSeries(times=times, data=data)

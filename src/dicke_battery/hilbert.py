@@ -61,11 +61,6 @@ class SectorBasis:
         return self.K + 1
 
     @property
-    def total_spin(self) -> float:
-        """Collective spin length J = N/2, constant on the symmetric ladder."""
-        return self.N / 2
-
-    @property
     def excitation_number(self) -> float:
         """Conserved eigenvalue of a†a + S_z."""
         return self.n - self.N / 2
@@ -79,9 +74,6 @@ class SectorBasis:
         """Cavity photon number of ladder state k."""
         self._check_index(k)
         return self.n - k
-
-    def k_values(self) -> np.ndarray:
-        return np.arange(self.dimension)
 
     def _check_index(self, k: int) -> None:
         if not 0 <= k <= self.K:

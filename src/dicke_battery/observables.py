@@ -1,11 +1,12 @@
 """Scalar diagnostics of a charging state.
 
-Energetics, flip fidelity, reduced spin densities, entanglement measures
-and the Bloch angle, all closed-form in the ladder populations |c_k|^2.
-The closed forms exist because tracing out the cavity kills every
-coherence between different rungs (each rung holds a different photon
-number), and the remaining rung-diagonal mixture of symmetric states has
-permutation-invariant one- and two-spin marginals.
+Stored energy, the Bloch angle, reduced spin densities and entanglement
+measures, all closed-form in the ladder populations |c_k|^2 through the
+four spin moments of :func:`spin_moments`.  The closed forms exist
+because tracing out the cavity kills every coherence between different
+rungs (each rung holds a different photon number), and the remaining
+rung-diagonal mixture of symmetric states has permutation-invariant one-
+and two-spin marginals.
 
 Basis conventions: single spin (|down>, |up>); spin pair
 (|dd>, |du>, |ud>, |uu>), first spin major.
@@ -14,6 +15,7 @@ Basis conventions: single spin (|down>, |up>); spin pair
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,32 +26,57 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def stored_energy(state: SectorState, omega_a: float) -> float:
-    """Battery energy above the discharged level: omega_a * sum_k |c_k|^2 k."""
-    if not omega_a > 0:
-        raise ValueError(f"spin splitting must be positive, got {omega_a}")
-    return float(omega_a * np.dot(state.populations(), state.basis.k_values()))
+class SpinMoments(NamedTuple):
+    """Spin moments of the rung populations P_k = |c_k|^2, one entry per column.
+
+    p = <k>/N is one spin up (W over capacity), p_uu = <k(k-1)>/(N(N-1))
+    a pair both up, p_dd = <(N-k)(N-k-1)>/(N(N-1)) both down, and
+    z = <k(N-k)>/(N(N-1)) is |du> and |ud> each and their coherence.
+    N = 1 has no pair: every pair numerator vanishes, so those moments are 0.
+    """
+
+    p: np.ndarray
+    p_uu: np.ndarray
+    p_dd: np.ndarray
+    z: np.ndarray
+
+    def cos_theta(self) -> np.ndarray:
+        """Bloch polar angle cosine of one spin, 2p - 1 (down = -1, up = +1)."""
+        return 2.0 * self.p - 1.0
+
+    def entropy(self) -> np.ndarray:
+        """Single-spin von Neumann entropy, the binary entropy of p (nats)."""
+        p = np.clip(self.p, 0.0, 1.0)
+        return -(_xlogx(1.0 - p) + _xlogx(p))
+
+    def concurrence(self) -> np.ndarray:
+        """Pair concurrence of the X-shaped two-spin state, 2 max(0, z - sqrt(p_uu p_dd)).
+
+        Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007); 0 for N = 1.
+        """
+        return 2.0 * np.maximum(0.0, self.z - np.sqrt(self.p_uu * self.p_dd))
 
 
-def average_power(energy: float, elapsed: float) -> float:
-    if not elapsed > 0:
-        raise ValueError(f"elapsed time must be positive, got {elapsed}")
-    return energy / elapsed
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x, with 0 ln 0 = 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
-def flip_fidelity(state: SectorState, target: SectorState) -> float:
-    """|<target|state>|^2; both states must live on the same sector."""
-    if state.basis != target.basis:
-        raise ValueError(
-            f"basis mismatch: state on (N={state.basis.N}, n={state.basis.n}), "
-            f"target on (N={target.basis.N}, n={target.basis.n})"
-        )
-    return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
+def spin_moments(populations: np.ndarray, N: int) -> SpinMoments:
+    """Spin moments of rung populations of shape (rungs,) or (rungs, samples)."""
+    k = np.arange(populations.shape[0], dtype=float)
+    pair_norm = max(N * (N - 1.0), 1.0)
+    sums = np.stack((k, k * (k - 1.0), (N - k) * (N - k - 1.0), k * (N - k))) @ populations
+    return SpinMoments(sums[0] / N, sums[1] / pair_norm, sums[2] / pair_norm, sums[3] / pair_norm)
+
+
+def _state_moments(state: SectorState) -> SpinMoments:
+    return spin_moments(state.populations(), state.basis.N)
 
 
 def up_fraction(state: SectorState) -> float:
     """Probability p that any one spin points up: sum_k |c_k|^2 k / N."""
-    return float(np.dot(state.populations(), state.basis.k_values()) / state.basis.N)
+    return float(_state_moments(state).p)
 
 
 def single_spin_density(state: SectorState) -> np.ndarray:
@@ -75,28 +102,17 @@ def von_neumann_entropy(density: np.ndarray) -> float:
 def two_spin_density(state: SectorState) -> np.ndarray:
     """Reduced density matrix of a spin pair (any pair, by symmetry).
 
-    An X-shaped state in the (|dd>, |du>, |ud>, |uu>) basis:
-
-        p_uu = sum_k |c_k|^2 k(k-1) / (N(N-1)),
-        p_dd = sum_k |c_k|^2 (N-k)(N-k-1) / (N(N-1)),
-        p_du = p_ud = z = sum_k |c_k|^2 k(N-k) / (N(N-1)),
-
-    with the single coherence z between |du> and |ud>.
+    X-shaped: diag(p_dd, z, z, p_uu) plus the coherence z between |du>
+    and |ud>.
     """
     N = state.basis.N
     if N < 2:
         raise ValueError(f"a spin pair needs N >= 2, got N={N}")
-    pops = state.populations()
-    k = state.basis.k_values().astype(float)
-    pair_norm = N * (N - 1.0)
-    p_uu = float(np.dot(pops, k * (k - 1.0)) / pair_norm)
-    p_dd = float(np.dot(pops, (N - k) * (N - k - 1.0)) / pair_norm)
-    z = float(np.dot(pops, k * (N - k)) / pair_norm)
+    moments = _state_moments(state)
     rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = p_dd
-    rho[1, 1] = rho[2, 2] = z
-    rho[1, 2] = rho[2, 1] = z
-    rho[3, 3] = p_uu
+    rho[0, 0] = moments.p_dd
+    rho[1, 1] = rho[2, 2] = rho[1, 2] = rho[2, 1] = moments.z
+    rho[3, 3] = moments.p_uu
     return rho
 
 
@@ -119,17 +135,7 @@ def pairwise_concurrence(density: np.ndarray) -> float:
 
 def cos_theta(state: SectorState) -> float:
     """Bloch polar angle cosine of one spin, 2p - 1 (down = -1, up = +1)."""
-    return 2.0 * up_fraction(state) - 1.0
-
-
-def operator_expectation(state: SectorState, operator: TridiagonalOperator) -> float:
-    """<state| T |state> for a real symmetric tridiagonal T."""
-    if operator.dimension != state.basis.dimension:
-        raise ValueError(
-            f"dimension mismatch: operator {operator.dimension}, "
-            f"state {state.basis.dimension}"
-        )
-    return float(np.vdot(state.amplitudes, operator.matvec(state.amplitudes)).real)
+    return float(_state_moments(state).cos_theta())
 
 
 def energy_variance(state: SectorState, operator: TridiagonalOperator) -> float:

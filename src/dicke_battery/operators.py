@@ -66,14 +66,6 @@ class TridiagonalOperator:
     def dimension(self) -> int:
         return self.diagonal.size
 
-    @property
-    def scale(self) -> float:
-        """Largest entry magnitude; the natural unit for tolerances."""
-        largest = float(np.max(np.abs(self.diagonal)))
-        if self.offdiagonal.size:
-            largest = max(largest, float(np.max(np.abs(self.offdiagonal))))
-        return largest
-
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec)
         if vec.shape != (self.dimension,):

@@ -179,8 +179,8 @@ def test_criterion_09_conservation():
     psi0 = initial_state(basis)
     energies = []
     for t in np.linspace(0.0, 30.0 * tau, 500):
-        state = dynamics.evolve(psi0, eigensystem, float(t))
-        energies.append(observables.operator_expectation(state, operator))
+        psi = dynamics.evolve(psi0, eigensystem, float(t)).amplitudes
+        energies.append(np.vdot(psi, operator.matvec(psi)).real)
     energies = np.array(energies)
     assert float(np.max(np.abs(energies - energies[0]))) / abs(energies[0]) < 1e-10
 

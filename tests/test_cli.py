@@ -356,6 +356,23 @@ def test_sweep_flag_validation(capsys):
     assert run_cli(capsys, ["sweep", "--spins", "2:x", "--photons", "4"])[0] == 2
 
 
+@pytest.mark.parametrize("grid", [
+    ["--spins", "0,2", "--photons", "4"],
+    ["--spins", "2", "--photons-per-spin", "0.1"],
+    ["--spins", "2", "--photons", "0"],
+])
+def test_sweep_zero_sized_point_is_usage_error(capsys, monkeypatch, grid):
+    # the whole grid is checked before any point runs
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(cli.analysis, "flip_summary", not_reached)
+    code, out, err = run_cli(capsys, ["sweep", *grid])
+    assert code == 2
+    assert out == ""
+    assert "need N >= 1 and n >= 1" in err
+
+
 def test_sweep_empty_grid_emits_header_only(capsys):
     code, out, _ = run_cli(capsys, ["sweep", "--spins", "", "--photons", "4"])
     assert code == 0

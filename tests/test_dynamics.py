@@ -132,25 +132,33 @@ def test_run_respects_record_subset():
         series["norm"]
 
 
-def test_run_matches_direct_observables():
+@pytest.mark.parametrize("model", ["exact", "large_n"])
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+def test_run_matches_direct_observables(N, model):
+    # the grid holds t = 0 (p = 0) and the large_n flip time (p = 1), where
+    # the entropy clip and, for N = 1, the pairless concurrence act
     params = ModelParams(g=0.9, omega=1.4)
-    config = SimulationConfig(N=3, n=6, params=params, t_max=3.0, steps=7)
+    n = 6
+    tau = math.pi / (2 * params.g * math.sqrt(n))
+    config = SimulationConfig(N=N, n=n, params=params, t_max=2 * tau, steps=17, model=model)
     series = run(config)
+    assert series.times[0] == 0.0 and series.times[8] == tau
 
-    basis = build_sector(3, 6)
-    eig = eigendecompose(exact_tc_matrix(basis, params))
+    basis = build_sector(N, n)
+    eig = eigendecompose(sector_operator(basis, params, model))
     psi0 = initial_state(basis)
     for i, t in enumerate(series.times):
         state = evolve(psi0, eig, float(t))
         assert series["W_over_capacity"][i] == pytest.approx(up_fraction(state), abs=1e-12)
-        assert series["fidelity"][i] == pytest.approx(state.populations()[3], abs=1e-12)
+        assert series["fidelity"][i] == pytest.approx(state.populations()[N], abs=1e-12)
         rho1 = single_spin_density(state)
         assert series["entropy_spin1"][i] == pytest.approx(von_neumann_entropy(rho1), abs=1e-11)
-        assert series["concurrence"][i] == pytest.approx(
-            pairwise_concurrence(two_spin_density(state)), abs=1e-9
-        )
+        pair = pairwise_concurrence(two_spin_density(state)) if N >= 2 else 0.0
+        assert series["concurrence"][i] == pytest.approx(pair, abs=1e-9)
         assert series["cos_theta"][i] == pytest.approx(2 * up_fraction(state) - 1, abs=1e-12)
         assert series["norm"][i] == pytest.approx(1.0, abs=1e-13)
+    if model == "large_n":
+        assert series["W_over_capacity"][8] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_conserves_norm_and_excitation():

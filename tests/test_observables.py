@@ -6,16 +6,11 @@ import pytest
 from dicke_battery.dynamics import evolve
 from dicke_battery.hilbert import SectorState, build_sector, initial_state, target_state
 from dicke_battery.observables import (
-    average_power,
     cos_theta,
     energy_variance,
-    flip_fidelity,
-    operator_expectation,
     pairwise_concurrence,
     single_spin_density,
-    stored_energy,
     two_spin_density,
-    up_fraction,
     von_neumann_entropy,
 )
 from dicke_battery.operators import ModelParams, large_n_matrix
@@ -26,43 +21,6 @@ from dicke_battery import oracle
 def uniform_state(basis):
     dim = basis.dimension
     return SectorState(basis, np.ones(dim) / math.sqrt(dim))
-
-
-def test_stored_energy_examples():
-    basis = build_sector(3, 100)
-    assert stored_energy(initial_state(basis), 1.0) == 0.0
-    assert stored_energy(target_state(basis), 1.0) == 3.0
-    assert stored_energy(uniform_state(build_sector(2, 5)), 2.0) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_stored_energy_rejects_bad_splitting():
-    with pytest.raises(ValueError):
-        stored_energy(initial_state(build_sector(1, 1)), 0.0)
-
-
-def test_average_power():
-    assert average_power(2.0, 0.5) == 4.0
-    with pytest.raises(ValueError):
-        average_power(1.0, 0.0)
-
-
-def test_flip_fidelity_endpoints():
-    basis = build_sector(4, 9)
-    assert flip_fidelity(target_state(basis), target_state(basis)) == 1.0
-    assert flip_fidelity(initial_state(basis), target_state(basis)) == 0.0
-
-
-def test_flip_fidelity_full_flip_two_spins():
-    basis = build_sector(2, 400)
-    eig = eigendecompose(large_n_matrix(2, ModelParams(), 400))
-    tau = math.pi / (2 * math.sqrt(400))
-    flipped = evolve(initial_state(basis), eig, tau)
-    assert flip_fidelity(flipped, target_state(basis)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_flip_fidelity_rejects_basis_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        flip_fidelity(initial_state(build_sector(2, 2)), target_state(build_sector(2, 3)))
 
 
 def test_single_spin_density_endpoints():
@@ -197,15 +155,6 @@ def test_cos_theta_mid_flip():
     assert cos_theta(halfway) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_up_fraction_equals_energy_over_capacity():
-    basis = build_sector(4, 7)
-    state = uniform_state(basis)
-    omega_a = 1.7
-    assert up_fraction(state) == pytest.approx(
-        stored_energy(state, omega_a) / (4 * omega_a), rel=1e-14
-    )
-
-
 def test_energy_variance_of_eigenvector_is_zero():
     T = large_n_matrix(3, ModelParams(), 9)
     eig = eigendecompose(T)
@@ -229,12 +178,3 @@ def test_energy_variance_of_discharged_state():
 def test_energy_variance_dimension_check():
     with pytest.raises(ValueError):
         energy_variance(initial_state(build_sector(2, 5)), large_n_matrix(4, ModelParams(), 5))
-
-
-def test_operator_expectation_matches_dense():
-    basis = build_sector(3, 5)
-    T = large_n_matrix(3, ModelParams(g=0.9), 5)
-    state = uniform_state(basis)
-    dense = T.to_dense()
-    expected = (state.amplitudes.conj() @ dense @ state.amplitudes).real
-    assert operator_expectation(state, T) == pytest.approx(expected, rel=1e-14)

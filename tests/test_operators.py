@@ -136,9 +136,3 @@ def test_tridiagonal_matvec_matches_dense():
     T = TridiagonalOperator(diagonal=rng.normal(size=6), offdiagonal=rng.normal(size=5))
     vec = rng.normal(size=6) + 1j * rng.normal(size=6)
     np.testing.assert_allclose(T.matvec(vec), T.to_dense() @ vec, atol=1e-14)
-
-
-def test_tridiagonal_scale_is_largest_entry():
-    T = TridiagonalOperator(diagonal=np.array([1.0, -7.0]), offdiagonal=np.array([3.0]))
-    assert T.scale == 7.0
-    assert T.dimension == 2
