@@ -32,13 +32,11 @@ from .dynamics import (
 from .hilbert import SectorBasis, SectorState, build_sector, initial_state, target_state
 from .observables import (
     SpinMoments,
-    cos_theta,
     energy_variance,
     pairwise_concurrence,
     single_spin_density,
     spin_moments,
     two_spin_density,
-    up_fraction,
     von_neumann_entropy,
 )
 from .operators import (
@@ -55,10 +53,8 @@ from .spectra import (
     analytic_eigenvectors,
     binomial_weighted_inner,
     eigendecompose,
-    pseudo_hermite,
     pseudo_hermite_family,
     rodrigues_residual,
-    scaled_pseudo_hermite,
 )
 
 __version__ = "0.1.0"

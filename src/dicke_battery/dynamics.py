@@ -107,9 +107,14 @@ def evolve(state: SectorState, eigensystem: EigenSystem, t: float) -> SectorStat
         )
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    weights = eigensystem.eigenvectors.T @ state.amplitudes
-    phases = np.exp(-1j * eigensystem.eigenvalues * t)
-    return SectorState(state.basis, eigensystem.eigenvectors @ (phases * weights))
+    return SectorState(state.basis, _propagate(eigensystem, state.amplitudes, [t])[:, 0])
+
+
+def _propagate(eigensystem: EigenSystem, amplitudes: np.ndarray, times) -> np.ndarray:
+    """V exp(-i D t) V^T applied to the amplitudes, one column per time."""
+    weights = eigensystem.eigenvectors.T @ amplitudes
+    phases = np.exp(-1j * np.outer(eigensystem.eigenvalues, times))
+    return eigensystem.eigenvectors @ (phases * weights[:, None])
 
 
 def sector_operator(basis: SectorBasis, params: ModelParams, model: str) -> TridiagonalOperator:
@@ -140,11 +145,7 @@ def run(config: SimulationConfig) -> ObservableSeries:
     times = np.linspace(0.0, config.t_max, config.steps)
     effective = np.minimum(times, config.params.t_off)
 
-    psi0 = initial_state(basis)
-    weights = eigensystem.eigenvectors.T @ psi0.amplitudes
-    phases = np.exp(-1j * np.outer(eigensystem.eigenvalues, effective))
-    amplitudes = eigensystem.eigenvectors @ (phases * weights[:, None])
-
+    amplitudes = _propagate(eigensystem, initial_state(basis).amplitudes, effective)
     populations = np.abs(amplitudes) ** 2
     wanted = set(config.record)
     data: dict[str, np.ndarray] = {}

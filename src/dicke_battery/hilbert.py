@@ -65,19 +65,11 @@ class SectorBasis:
         """Conserved eigenvalue of a†a + S_z."""
         return self.n - self.N / 2
 
-    def m_value(self, k: int) -> float:
-        """Collective spin projection of ladder state k."""
-        self._check_index(k)
-        return -self.N / 2 + k
-
     def photon_count(self, k: int) -> int:
         """Cavity photon number of ladder state k."""
-        self._check_index(k)
-        return self.n - k
-
-    def _check_index(self, k: int) -> None:
         if not 0 <= k <= self.K:
             raise ValueError(f"ladder index {k} outside 0..{self.K}")
+        return self.n - k
 
 
 @dataclass(frozen=True)

@@ -74,18 +74,13 @@ def _state_moments(state: SectorState) -> SpinMoments:
     return spin_moments(state.populations(), state.basis.N)
 
 
-def up_fraction(state: SectorState) -> float:
-    """Probability p that any one spin points up: sum_k |c_k|^2 k / N."""
-    return float(_state_moments(state).p)
-
-
 def single_spin_density(state: SectorState) -> np.ndarray:
     """Reduced density matrix of one spin, diag(1 - p, p).
 
     Diagonal because the photon trace removes cross-rung coherences and
     every rung is a symmetric state with definite up-fraction.
     """
-    p = up_fraction(state)
+    p = float(_state_moments(state).p)
     return np.diag([1.0 - p, p]).astype(complex)
 
 
@@ -131,11 +126,6 @@ def pairwise_concurrence(density: np.ndarray) -> float:
     lam = np.sqrt(np.clip(eigenvalues.real, 0.0, None))
     lam.sort()
     return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
-
-
-def cos_theta(state: SectorState) -> float:
-    """Bloch polar angle cosine of one spin, 2p - 1 (down = -1, up = +1)."""
-    return float(_state_moments(state).cos_theta())
 
 
 def energy_variance(state: SectorState, operator: TridiagonalOperator) -> float:

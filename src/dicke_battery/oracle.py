@@ -106,26 +106,36 @@ def discharged_state(N: int, n: int, n_max: int) -> FullState:
 
 
 def brute_force_evolve(N: int, n: int, params: ModelParams, t: float) -> FullState:
-    """Evolve the discharged state under the excitation-conserving model.
+    """Evolve the discharged state to one time t >= 0; see brute_force_trajectory."""
+    return brute_force_trajectory(N, n, params, [t])[0]
 
-    The truncation margin n_max = n + N + 2 can never be populated (the
-    photon number only decreases from n), which is verified after the run.
+
+def brute_force_trajectory(N: int, n: int, params: ModelParams, times) -> list[FullState]:
+    """Evolve the discharged state under the excitation-conserving model to each time.
+
+    One dense diagonalization serves every time.  The truncation margin
+    n_max = n + N + 2 can never be populated (the photon number only
+    decreases from n), which is verified for every returned state.
     """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    for t in times:
+        if t < 0:
+            raise ValueError(f"time must be non-negative, got {t}")
     n_max = n + N + 2
     _check_sizes(N, n_max)
     H = brute_force_hamiltonian(N, n_max, params)
     psi0 = discharged_state(N, n, n_max).vector
     values, vectors = scipy.linalg.eigh(H)
-    psi = vectors @ (np.exp(-1j * values * t) * (vectors.T @ psi0))
-    state = FullState(N=N, n_max=n_max, vector=psi)
-    leakage = fock_level_population(state, n_max)
-    if leakage >= LEAKAGE_TOL:
-        raise TruncationError(
-            f"top Fock level holds population {leakage}, margin n_max={n_max} too tight"
-        )
-    return state
+    weights = vectors.T @ psi0
+    states = []
+    for t in times:
+        state = FullState(N=N, n_max=n_max, vector=vectors @ (np.exp(-1j * values * t) * weights))
+        leakage = fock_level_population(state, n_max)
+        if leakage >= LEAKAGE_TOL:
+            raise TruncationError(
+                f"top Fock level holds population {leakage}, margin n_max={n_max} too tight"
+            )
+        states.append(state)
+    return states
 
 
 def dicke_vector(N: int, k: int) -> np.ndarray:

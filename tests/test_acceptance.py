@@ -125,9 +125,10 @@ def test_criterion_08_oracle_equivalence():
             basis = build_sector(N, n)
             eigensystem = eigendecompose(exact_tc_matrix(basis, params))
             psi0 = initial_state(basis)
-            for t in rng.uniform(0.0, 5.0, size=20):
+            # one dense diagonalization per (N, n); every state is leakage-checked
+            times = rng.uniform(0.0, 5.0, size=20)
+            for t, full in zip(times, oracle.brute_force_trajectory(N, n, params, times)):
                 sector = dynamics.evolve(psi0, eigensystem, float(t))
-                full = oracle.brute_force_evolve(N, n, params, float(t))
                 reference = oracle.full_to_sector(full, basis)
                 worst = max(worst, float(np.max(np.abs(sector.amplitudes - reference))))
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dicke_battery import cli
+from dicke_battery import cli, dynamics
+from dicke_battery.operators import ModelParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,6 +178,25 @@ def test_compare_validation(capsys):
     assert run_cli(capsys, ["compare", "--spins", "0", "--photons", "4"])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--spins", "4", "--photons", "100", "--coupling", "0"],
+    ["compare", "--spins", "4", "--photons", "100", "--omega", "-1"],
+    ["sweep", "--spins", "2", "--photons", "10", "--coupling", "0"],
+    ["sweep", "--spins", "2", "--photons", "10", "--omega", "0"],
+    ["compare", "--spins", "20000", "--photons", "1"],  # collective ladder over the limit
+])
+def test_bad_physics_flags_are_usage_errors(capsys, monkeypatch, argv):
+    # rejected before anything runs, as simulate and spectrum do
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli.analysis, "run", not_reached)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_passes_end_to_end(capsys):
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 0
@@ -260,22 +280,27 @@ def test_sweep_collective_budget_tracks_theory(capsys):
         assert cells[6] == "ok"
 
 
+def read_columns(text, parse):
+    """Header and parsed columns of a CSV text; parse(i, cell) types column i."""
+    lines = text.split("\n")[:-1]
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return header, [[parse(i, row[i]) for row in rows] for i in range(len(header))]
+
+
 def test_csv_round_trip_is_byte_identical(tmp_path, capsys):
     out = tmp_path / "run.csv"
     assert cli.main(["simulate", "--spins", "2", "--photons", "7", "--t-max", "2.0",
                      "--steps", "31", "--out", str(out)]) == 0
     text = out.read_text()
-    lines = [line for line in text.split("\n") if line]
-    header = lines[0].split(",")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    assert cli._csv_text(header, rows) == text
+    header, columns = read_columns(text, lambda i, cell: float(cell))
+    assert cli._csv_text(header, columns) == text
 
     sweep_out = tmp_path / "sweep.csv"
-    assert cli.main(["sweep", "--spins", "1,2", "--photons", "25", "--steps", "400",
+    assert cli.main(["sweep", "--spins", "1:3", "--photons", "2", "--steps", "400",
                      "--out", str(sweep_out)]) == 0
     text = sweep_out.read_text()
-    lines = [line for line in text.split("\n") if line]
-    header = lines[0].split(",")
+    assert ",,," in text  # the unreachable row's empty measured fields
 
     def parse(i, cell):
         if i < 2:
@@ -284,8 +309,38 @@ def test_csv_round_trip_is_byte_identical(tmp_path, capsys):
             return None
         return cell if i == 6 else float(cell)
 
-    rows = [[parse(i, cell) for i, cell in enumerate(line.split(","))] for line in lines[1:]]
-    assert cli._csv_text(header, rows) == text
+    header, columns = read_columns(text, parse)
+    assert cli._csv_text(header, columns) == text
+    capsys.readouterr()
+
+
+def test_csv_cells_are_pinned():
+    columns = [
+        [None, "ok", 0, -7, 120],
+        [0.1, -0.0, 5e-324, 1e16, 1.0084704282312733e-32],
+    ]
+    assert cli._csv_text(["a", "b"], columns) == (
+        "a,b\n"
+        ",0.1\n"
+        "ok,-0.0\n"
+        "0,5e-324\n"
+        "-7,1e+16\n"
+        "120,1.0084704282312733e-32\n"
+    )
+
+
+def test_simulate_csv_is_lossless(tmp_path, capsys):
+    # every printed float parses back to the bit pattern dynamics.run computed
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--spins", "6", "--photons", "8", "--coupling", "0.7",
+                     "--t-max", "3.0", "--steps", "200", "--out", str(out)]) == 0
+    header, columns = read_columns(out.read_text(), lambda i, cell: float(cell))
+    series = dynamics.run(dynamics.SimulationConfig(
+        N=6, n=8, params=ModelParams(g=0.7), t_max=3.0, steps=200))
+    assert header == ["t", *series.recorded]
+    expected = [series.times, *(series[name] for name in series.recorded)]
+    for parsed, column in zip(columns, expected):
+        assert np.array_equal(np.array(parsed).view(np.uint64), column.view(np.uint64))
     capsys.readouterr()
 
 

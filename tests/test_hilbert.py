@@ -14,7 +14,6 @@ def test_basic_sector_shape():
     basis = build_sector(3, 100)
     assert basis.dimension == 4
     assert basis.K == 3
-    assert basis.m_value(0) == -1.5
     assert basis.photon_count(0) == 100
 
 
@@ -28,13 +27,13 @@ def test_oversubscribed_cavity_sector():
     assert basis.dimension == 91
     assert basis.K == 90
     assert basis.photon_count(90) == 0
-    assert basis.m_value(90) == -50.0 + 90
 
 
 def test_excitation_number_is_conserved_quantity():
     basis = build_sector(4, 7)
+    # rung k holds spin projection m = -N/2 + k
     for k in range(basis.dimension):
-        assert basis.photon_count(k) + basis.m_value(k) == basis.excitation_number
+        assert basis.photon_count(k) + (-basis.N / 2 + k) == basis.excitation_number
 
 
 def test_bookkeeping_photons_plus_transfers():
@@ -42,7 +41,6 @@ def test_bookkeeping_photons_plus_transfers():
         basis = build_sector(N, n)
         for k in range(basis.dimension):
             assert basis.photon_count(k) + k == n
-            assert basis.m_value(k) - basis.m_value(0) == k
 
 
 @pytest.mark.parametrize("N,n", [(0, 5), (5, 0), (-1, 3), (3, -2)])
@@ -68,7 +66,7 @@ def test_rejects_oversize_ladder():
 def test_ladder_index_bounds():
     basis = build_sector(2, 5)
     with pytest.raises(ValueError):
-        basis.m_value(3)
+        basis.photon_count(3)
     with pytest.raises(ValueError):
         basis.photon_count(-1)
 
@@ -86,7 +84,6 @@ def test_target_state_is_fully_charged():
     assert state.amplitudes[3] == 1.0
     assert np.count_nonzero(state.amplitudes) == 1
     assert basis.photon_count(3) == 97
-    assert basis.m_value(3) == 1.5
 
 
 def test_target_state_unreachable_without_enough_photons():

@@ -6,10 +6,10 @@ import pytest
 from dicke_battery.dynamics import evolve
 from dicke_battery.hilbert import SectorState, build_sector, initial_state, target_state
 from dicke_battery.observables import (
-    cos_theta,
     energy_variance,
     pairwise_concurrence,
     single_spin_density,
+    spin_moments,
     two_spin_density,
     von_neumann_entropy,
 )
@@ -140,6 +140,10 @@ def test_concurrence_of_bell_state_reference():
 def test_concurrence_rejects_wrong_shape():
     with pytest.raises(ValueError):
         pairwise_concurrence(np.eye(2))
+
+
+def cos_theta(state):
+    return float(spin_moments(state.populations(), state.basis.N).cos_theta())
 
 
 def test_cos_theta_tracks_charging():

@@ -37,7 +37,7 @@ def test_exact_diagonal_equals_per_rung_rest_energy():
     for N, n in ((1, 1), (3, 100), (7, 4), (100, 90), (101, 10_000)):
         basis = build_sector(N, n)
         per_rung = [
-            params.omega * (basis.photon_count(k) + basis.m_value(k))
+            params.omega * (basis.photon_count(k) + (-N / 2 + k))
             for k in range(basis.dimension)
         ]
         np.testing.assert_array_equal(exact_tc_matrix(basis, params).diagonal, per_rung)

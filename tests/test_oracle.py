@@ -110,8 +110,18 @@ def test_reduced_density_index_validation():
         oracle.reduced_two_spin_density(full, 1, 1)
 
 
+def test_trajectory_checks_every_state_for_leakage(monkeypatch):
+    # a margin that only the last time fills must be caught on that state
+    populations = iter([0.0, 0.0, 1.0])
+    monkeypatch.setattr(oracle, "fock_level_population", lambda full, level: next(populations))
+    with pytest.raises(oracle.TruncationError):
+        oracle.brute_force_trajectory(2, 3, ModelParams(), [0.1, 0.2, 0.3])
+
+
 def test_evolve_input_validation():
     with pytest.raises(ValueError, match="non-negative"):
         oracle.brute_force_evolve(2, 3, ModelParams(), -1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        oracle.brute_force_trajectory(2, 3, ModelParams(), [0.5, -1.0])
     with pytest.raises(ValueError, match="photon number"):
         oracle.discharged_state(2, 7, 5)
