@@ -66,15 +66,8 @@ def detect_flip_time(series: ObservableSeries) -> tuple[float, float]:
 
 
 def _binomial_fraction(N: int, k: int) -> float:
-    """C(N, k) / 2^N; via log-gamma beyond N = 50 where C(N, k) gets huge."""
-    if N <= 50:
-        return math.comb(N, k) / 2.0**N
-    return math.exp(
-        math.lgamma(N + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(N - k + 1)
-        - N * math.log(2.0)
-    )
+    """C(N, k) / 2^N, correctly rounded: int / int true division is exact-then-rounded."""
+    return math.comb(N, k) / 2**N
 
 
 def verify_algebraic_identity(N: int) -> float:
@@ -204,12 +197,10 @@ def compare_protocols(
     """
     if N < 1 or n < 1:
         raise ValueError(f"need N >= 1 and n >= 1, got N={N}, n={n}")
-    if not omega_a > 0:
-        raise ValueError(f"spin splitting must be positive, got {omega_a}")
+    params = ModelParams(g=g, omega=omega_a)
     tau_parallel = universal_flip_time(1, g, n)
     tau_collective = universal_flip_time(N, g, N * n)
-    stored = N * omega_a
-    params = ModelParams(g=g, omega=omega_a)
+    stored = N * params.omega
     detected_parallel, _ = _require_flip(flip_summary(1, n, params, model, steps, window=1.3))
     detected_collective, fidelity_peak = _require_flip(
         flip_summary(N, N * n, params, model, steps, window=1.3)

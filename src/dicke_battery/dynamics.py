@@ -7,6 +7,7 @@ and unitarity holds to rounding over arbitrarily many samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class SimulationConfig:
                 f"large_n model needs n >= N so the {self.N + 1}-rung ladder exists, "
                 f"got N={self.N}, n={self.n}"
             )
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.steps < 2:
             raise ValueError(f"need at least 2 samples, got steps={self.steps}")
         requested = tuple(self.record)
@@ -135,8 +136,8 @@ def run(config: SimulationConfig) -> ObservableSeries:
     """Charging run on the uniform grid 0..t_max with `steps` samples.
 
     Each sample is evolved independently from t = 0.  Past the coupling
-    window t_off only the constant rest energy acts, a global phase on the
-    sector, so every observable is frozen at its t_off value.
+    window t_off nothing acts in the rotating frame, so every observable
+    is frozen at its t_off value.
     """
     basis = build_sector(config.N, config.n)
     operator = sector_operator(basis, config.params, config.model)

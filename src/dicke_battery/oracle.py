@@ -3,7 +3,9 @@
 Ground truth for small systems: no symmetry restriction, explicit tensor
 products, dense diagonalization.  Deliberately naive and test-sized
 (N <= 4, Fock truncation <= 64); the sector simulator must agree with it
-wherever both apply.
+wherever both apply.  Like the sector operators it works in the frame
+rotating at the shared resonance, so the Hamiltonian is the coupling
+alone.
 
 Index layout: basis vector index = s * (n_max + 1) + m, where m is the
 Fock level and s encodes the spin chain with spin 0 as the most
@@ -70,20 +72,14 @@ def _spin_operator(N: int, j: int, op: np.ndarray) -> np.ndarray:
 
 
 def brute_force_hamiltonian(N: int, n_max: int, params: ModelParams) -> np.ndarray:
-    """Dense Hamiltonian on the full space with the excitation-conserving
-    coupling g (S+ a + S- a†), the one the sector ladder reduces."""
+    """Dense rotating-frame Hamiltonian on the full space: the
+    excitation-conserving coupling g (S+ a + S- a†) that the sector
+    ladder reduces."""
     _check_sizes(N, n_max)
     M = n_max + 1
     annihilate = np.diag(np.sqrt(np.arange(1.0, M)), k=1)
-    create = annihilate.T
     spin_raise = sum(_spin_operator(N, j, _RAISE) for j in range(N))
-    spin_lower = spin_raise.T
-    spin_z = sum(_spin_operator(N, j, _HALF_SZ) for j in range(N))
-
-    H = params.omega * np.kron(np.eye(2**N), create @ annihilate)
-    H += params.omega * np.kron(spin_z, np.eye(M))
-    H += params.g * (np.kron(spin_raise, annihilate) + np.kron(spin_lower, create))
-    return H
+    return params.g * (np.kron(spin_raise, annihilate) + np.kron(spin_raise.T, annihilate.T))
 
 
 def excitation_operator(N: int, n_max: int) -> np.ndarray:

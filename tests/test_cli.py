@@ -182,15 +182,22 @@ def test_compare_validation(capsys):
     ["compare", "--spins", "4", "--photons", "100", "--coupling", "0"],
     ["compare", "--spins", "4", "--photons", "100", "--omega", "-1"],
     ["sweep", "--spins", "2", "--photons", "10", "--coupling", "0"],
-    ["sweep", "--spins", "2", "--photons", "10", "--omega", "0"],
     ["compare", "--spins", "20000", "--photons", "1"],  # collective ladder over the limit
+    ["simulate", "--spins", "2", "--photons", "4", "--t-max", "inf", "--steps", "3"],
+    ["simulate", "--spins", "2", "--photons", "4", "--t-max", "1", "--coupling", "inf"],
+    ["spectrum", "--spins", "2", "--photons", "4", "--coupling", "inf"],
+    ["compare", "--spins", "2", "--photons", "4", "--coupling", "inf"],
+    ["sweep", "--spins", "2", "--photons", "4", "--coupling", "inf"],
+    ["compare", "--spins", "2", "--photons", "4", "--omega", "inf"],
+    ["sweep", "--spins", "2", "--photons-per-spin", "inf"],
 ])
 def test_bad_physics_flags_are_usage_errors(capsys, monkeypatch, argv):
-    # rejected before anything runs, as simulate and spectrum do
+    # rejected before anything runs
     def not_reached(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(cli.analysis, "run", not_reached)
+    monkeypatch.setattr(cli.dynamics, "run", not_reached)
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dicke_battery.hilbert import build_sector
+from dicke_battery.analysis import flip_summary
+from dicke_battery.dynamics import SimulationConfig, evolve, run
+from dicke_battery.hilbert import build_sector, initial_state
 from dicke_battery.operators import (
     ModelParams,
     TridiagonalOperator,
@@ -11,6 +13,7 @@ from dicke_battery.operators import (
     large_n_matrix,
 )
 from dicke_battery import oracle
+from dicke_battery.spectra import eigendecompose
 
 
 def test_exact_couplings_three_spins_hundred_photons():
@@ -23,24 +26,29 @@ def test_exact_couplings_three_spins_hundred_photons():
     np.testing.assert_allclose(T.offdiagonal, [17.320508, 19.899749, 17.146428], atol=5e-7)
 
 
-def test_exact_diagonal_is_constant_rest_energy():
-    basis = build_sector(3, 100)
-    T = exact_tc_matrix(basis, ModelParams(g=1.0, omega=1.0))
-    np.testing.assert_array_equal(T.diagonal, np.full(4, 98.5))
-    T2 = exact_tc_matrix(build_sector(4, 9), ModelParams(g=0.3, omega=2.0))
-    np.testing.assert_array_equal(T2.diagonal, np.full(5, 2.0 * (9 - 2)))
-
-
-def test_exact_diagonal_equals_per_rung_rest_energy():
-    # reference: cavity plus spin energy summed rung by rung, bit for bit
-    params = ModelParams(g=0.8, omega=1.7)
+def test_exact_model_is_blind_to_the_rest_energy():
+    # rotating frame: omega (n - N/2) is a global phase and is not carried at all
+    slow, fast = ModelParams(g=0.8, omega=1.0), ModelParams(g=0.8, omega=1e6)
     for N, n in ((1, 1), (3, 100), (7, 4), (100, 90), (101, 10_000)):
         basis = build_sector(N, n)
-        per_rung = [
-            params.omega * (basis.photon_count(k) + (-N / 2 + k))
-            for k in range(basis.dimension)
+        T = exact_tc_matrix(basis, slow)
+        np.testing.assert_array_equal(T.diagonal, np.zeros(basis.dimension))
+        np.testing.assert_array_equal(exact_tc_matrix(basis, fast).offdiagonal, T.offdiagonal)
+
+    basis = build_sector(10, 1000)
+
+    def outputs(params):
+        eigensystem = eigendecompose(exact_tc_matrix(basis, params))
+        series = run(SimulationConfig(N=10, n=1000, params=params, t_max=0.1, steps=101))
+        flip = flip_summary(10, 1000, params, "exact", 2001, window=1.3)
+        return [
+            evolve(initial_state(basis), eigensystem, 0.03).amplitudes,
+            *(series[name] for name in series.recorded),
+            np.array([flip.tau_detected, flip.peak_fidelity]),
         ]
-        np.testing.assert_array_equal(exact_tc_matrix(basis, params).diagonal, per_rung)
+
+    for left, right in zip(outputs(slow), outputs(fast)):
+        np.testing.assert_array_equal(left, right)
 
 
 def test_exact_corner_coupling_matches_brute_force():
@@ -119,6 +127,11 @@ def test_model_params_validation():
         ModelParams(g=0.0)
     with pytest.raises(ValueError):
         ModelParams(omega=-1.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ModelParams(g=value)
+        with pytest.raises(ValueError):
+            ModelParams(omega=value)
     with pytest.raises(ValueError):
         ModelParams(t_off=0.0)
     assert ModelParams().t_off == math.inf
