@@ -26,14 +26,16 @@ def test_exact_couplings_three_spins_hundred_photons():
     np.testing.assert_allclose(T.offdiagonal, [17.320508, 19.899749, 17.146428], atol=5e-7)
 
 
-def test_exact_model_is_blind_to_the_rest_energy():
-    # rotating frame: omega (n - N/2) is a global phase and is not carried at all
+def test_exact_diagonal_is_constant_rest_energy():
+    # rotating frame: the constant rest energy omega (n - N/2) is a global
+    # phase, carried as zero, so no output depends on omega
     slow, fast = ModelParams(g=0.8, omega=1.0), ModelParams(g=0.8, omega=1e6)
-    for N, n in ((1, 1), (3, 100), (7, 4), (100, 90), (101, 10_000)):
+    for N, n in ((3, 100), (4, 9)):
         basis = build_sector(N, n)
-        T = exact_tc_matrix(basis, slow)
-        np.testing.assert_array_equal(T.diagonal, np.zeros(basis.dimension))
-        np.testing.assert_array_equal(exact_tc_matrix(basis, fast).offdiagonal, T.offdiagonal)
+        for params in (slow, fast):
+            np.testing.assert_array_equal(
+                exact_tc_matrix(basis, params).diagonal, np.zeros(basis.dimension)
+            )
 
     basis = build_sector(10, 1000)
 
@@ -49,6 +51,21 @@ def test_exact_model_is_blind_to_the_rest_energy():
 
     for left, right in zip(outputs(slow), outputs(fast)):
         np.testing.assert_array_equal(left, right)
+
+
+def test_exact_diagonal_equals_per_rung_rest_energy():
+    # reference: cavity plus spin energy summed rung by rung, less the
+    # sector's rest energy omega (n - N/2), bit for bit
+    params, fast = ModelParams(g=0.8, omega=1.7), ModelParams(g=0.8, omega=1e6)
+    for N, n in ((1, 1), (3, 100), (7, 4), (100, 90), (101, 10_000)):
+        basis = build_sector(N, n)
+        per_rung = [
+            params.omega * (basis.photon_count(k) + (-N / 2 + k)) - params.omega * (n - N / 2)
+            for k in range(basis.dimension)
+        ]
+        T = exact_tc_matrix(basis, params)
+        np.testing.assert_array_equal(T.diagonal, per_rung)
+        np.testing.assert_array_equal(exact_tc_matrix(basis, fast).offdiagonal, T.offdiagonal)
 
 
 def test_exact_corner_coupling_matches_brute_force():
