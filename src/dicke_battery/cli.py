@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, dynamics, oracle, spectra
+from . import __version__, analysis, dynamics, observables, oracle, spectra
 from .dynamics import OBSERVABLE_NAMES, SimulationConfig
 from .hilbert import build_sector, initial_state
 from .operators import ModelParams
@@ -333,13 +333,42 @@ def _check_unitarity() -> VerifyCheck:
     basis = build_sector(config.N, config.n)
     operator = dynamics.sector_operator(basis, config.params, config.model)
     eigensystem = spectra.eigendecompose(operator)
-    states = dynamics._propagate(eigensystem, initial_state(basis).amplitudes, series.times)
-    energy = np.sum(states.conj() * (operator.to_dense() @ states), axis=0).real
+    real, imag = dynamics._propagate(eigensystem, initial_state(basis).amplitudes, series.times)
+    dense = operator.to_dense()
+    energy = np.sum(real * (dense @ real) + imag * (dense @ imag), axis=0)
     radius = float(np.max(np.abs(eigensystem.eigenvalues)))
     energy_drift = float(np.max(np.abs(energy))) / radius
     return VerifyCheck(
         "unitarity and energy drift (10^4 samples)", max(drift, energy_drift), 1e-10
     )
+
+
+def _check_large_n_rotation() -> VerifyCheck:
+    # run's closed-form Binomial populations against the numeric ladder
+    N, n = 2000, 10**6
+    tau = analysis.universal_flip_time(N, 1.0, n)
+    config = SimulationConfig(
+        N=N,
+        n=n,
+        params=ModelParams(),
+        t_max=2.0 * tau,
+        steps=101,
+        model="large_n",
+        record=("W_over_capacity", "fidelity", "norm"),
+    )
+    series = dynamics.run(config)
+    basis = build_sector(N, n)
+    operator = dynamics.sector_operator(basis, config.params, "large_n")
+    eigensystem = spectra.eigendecompose(operator)
+    real, imag = dynamics._propagate(eigensystem, initial_state(basis).amplitudes, series.times)
+    populations = real**2 + imag**2
+    reference = {
+        "W_over_capacity": observables.spin_moments(populations, N).p,
+        "fidelity": populations[N],
+        "norm": np.sqrt(populations.sum(axis=0)),
+    }
+    worst = max(float(np.max(np.abs(series[name] - column))) for name, column in reference.items())
+    return VerifyCheck(f"large_n closed form vs spectral propagation (N = {N})", worst, 1e-10)
 
 
 def _check_rodrigues() -> VerifyCheck:
@@ -358,6 +387,7 @@ def _verification_checks() -> list[VerifyCheck]:
         _check_analytic_eigenvectors(),
         _check_brute_force_agreement(),
         _check_unitarity(),
+        _check_large_n_rotation(),
         _check_rodrigues(),
     ]
 

@@ -27,6 +27,8 @@ def flip_run(N, n, model, t_max, steps, record=("fidelity",), g=1.0):
 
 
 def test_criterion_01_universal_flip_time():
+    # run's large_n path is the closed-form rotation; its independent check
+    # against the numeric ladder is in `verify` and test_dynamics
     n = 10_000
     tau = math.pi / 200.0
     started = time.perf_counter()

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,26 @@ def test_simulate_rejects_starved_large_n(capsys):
     assert "n >= N" in err
 
 
+def test_simulate_large_n_at_rest_and_at_flip_is_warning_free(capsys):
+    # t = 0 and tau put zero in the closed form's logarithms
+    tau = math.pi / (2 * math.sqrt(100))
+    argv = [
+        "simulate", "--spins", "7", "--photons", "100", "--t-max", repr(tau),
+        "--steps", "2", "--model", "large-n",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    header, start, flip = (line.split(",") for line in out.strip().split("\n"))
+    rows = [dict(zip(header, map(float, row))) for row in (start, flip)]
+    assert rows[1]["t"] == tau
+    for row, charged in zip(rows, (0.0, 1.0)):
+        assert row["W_over_capacity"] == row["fidelity"] == charged
+        assert row["entropy_spin1"] == row["concurrence"] == 0.0
+        assert row["norm"] == 1.0
+
+
 def test_simulate_invalid_physics_is_config_error(capsys):
     code, _, _ = run_cli(
         capsys,
@@ -208,8 +229,8 @@ def test_verify_passes_end_to_end(capsys):
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[-1] == "all 7 checks passed"
-    assert sum(1 for line in lines if line.endswith("PASS")) == 7
+    assert lines[-1] == "all 8 checks passed"
+    assert sum(1 for line in lines if line.endswith("PASS")) == 8
     assert not any("FAIL" in line for line in lines)
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dicke_battery import dynamics
+from dicke_battery.analysis import universal_flip_time
 from dicke_battery.dynamics import (
     OBSERVABLE_NAMES,
     ObservableSeries,
@@ -15,6 +17,7 @@ from dicke_battery.hilbert import SectorState, build_sector, initial_state
 from dicke_battery.observables import (
     pairwise_concurrence,
     single_spin_density,
+    spin_moments,
     two_spin_density,
     von_neumann_entropy,
 )
@@ -224,6 +227,60 @@ def test_large_n_model_run_matches_closed_form():
     series = run(config)
     expected = np.sin(g * math.sqrt(n) * series.times) ** (2 * N)
     np.testing.assert_allclose(series["fidelity"], expected, atol=1e-12)
+
+
+def test_large_n_run_never_calls_the_eigensolver(monkeypatch):
+    def no_eigensolve(operator):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(dynamics, "eigendecompose", no_eigensolve)
+    config = SimulationConfig(N=40, n=400, params=ModelParams(), t_max=0.2, steps=11, model="large_n")
+    assert run(config).recorded == OBSERVABLE_NAMES
+    with pytest.raises(AssertionError, match="eigensolver"):
+        run(SimulationConfig(N=40, n=400, params=ModelParams(), t_max=0.2, steps=11))
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 300])
+def test_large_n_closed_form_matches_spectral_reference(N):
+    params, n = ModelParams(g=0.9), 1000
+    tau = universal_flip_time(N, params.g, n)
+    config = SimulationConfig(
+        N=N, n=n, params=params, t_max=2 * tau, steps=41, model="large_n",
+        record=("W_over_capacity", "fidelity", "norm"),
+    )
+    series = run(config)
+    assert series.times[0] == 0.0 and series.times[20] == tau
+
+    eig = eigendecompose(large_n_matrix(N, params, n))
+    real, imag = dynamics._propagate(eig, initial_state(build_sector(N, n)).amplitudes, series.times)
+    populations = real**2 + imag**2
+    reference = {
+        "W_over_capacity": spin_moments(populations, N).p,
+        "fidelity": populations[N],
+        "norm": np.sqrt(populations.sum(axis=0)),
+    }
+    for name, column in reference.items():
+        np.testing.assert_allclose(series[name], column, rtol=0, atol=1e-12)
+
+    # the empty battery and the full flip are exact delta populations
+    for i, charged in ((0, 0.0), (20, 1.0)):
+        assert series["W_over_capacity"][i] == charged
+        assert series["fidelity"][i] == charged
+        assert series["norm"][i] == 1.0
+
+
+def test_large_n_run_freezes_after_t_off():
+    t_off = 0.037
+    config = SimulationConfig(
+        N=12, n=500, params=ModelParams(t_off=t_off), t_max=0.2, steps=41, model="large_n",
+    )
+    series = run(config)
+    frozen = series.times >= t_off
+    assert frozen.sum() > 5
+    unswitched = SimulationConfig(N=12, n=500, params=ModelParams(), t_max=t_off, steps=2, model="large_n")
+    at_cut = run(unswitched)
+    for name in series.recorded:
+        np.testing.assert_array_equal(series[name][frozen], at_cut[name][-1])
 
 
 def test_series_validation():
