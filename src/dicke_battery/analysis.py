@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import ObservableSeries, SimulationConfig, run
 from .hilbert import build_sector, initial_state
 from .observables import energy_variance
@@ -54,12 +56,13 @@ def detect_flip_time(series: ObservableSeries) -> tuple[float, float]:
     if "fidelity" not in series.data:
         raise ValueError("series does not record fidelity")
     fidelity = series["fidelity"]
-    for i in range(1, fidelity.size - 1):
-        left, middle, right = fidelity[i - 1], fidelity[i], fidelity[i + 1]
-        if middle >= left and middle >= right and (middle > left or middle > right):
-            peak_time, peak_value = _refine_peak(series.times, fidelity, i)
-            if peak_value > DETECTION_THRESHOLD:
-                return peak_time, peak_value
+    left, middle, right = fidelity[:-2], fidelity[1:-1], fidelity[2:]
+    # interior local maxima, plateau edges included but not flat stretches
+    candidates = (middle >= left) & (middle >= right) & ((middle > left) | (middle > right))
+    for i in np.flatnonzero(candidates) + 1:
+        peak_time, peak_value = _refine_peak(series.times, fidelity, i)
+        if peak_value > DETECTION_THRESHOLD:
+            return peak_time, peak_value
     raise FlipDetectionError(
         f"no flip found: no fidelity peak above {DETECTION_THRESHOLD} in the window"
     )

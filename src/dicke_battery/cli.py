@@ -333,7 +333,8 @@ def _check_unitarity() -> VerifyCheck:
     basis = build_sector(config.N, config.n)
     operator = dynamics.sector_operator(basis, config.params, config.model)
     eigensystem = spectra.eigendecompose(operator)
-    real, imag = dynamics._propagate(eigensystem, initial_state(basis).amplitudes, series.times)
+    psi0 = initial_state(basis).amplitudes
+    real, imag = dynamics._propagate(eigensystem, psi0, series.times[1], series.times.size)
     dense = operator.to_dense()
     energy = np.sum(real * (dense @ real) + imag * (dense @ imag), axis=0)
     radius = float(np.max(np.abs(eigensystem.eigenvalues)))
@@ -360,7 +361,8 @@ def _check_large_n_rotation() -> VerifyCheck:
     basis = build_sector(N, n)
     operator = dynamics.sector_operator(basis, config.params, "large_n")
     eigensystem = spectra.eigendecompose(operator)
-    real, imag = dynamics._propagate(eigensystem, initial_state(basis).amplitudes, series.times)
+    psi0 = initial_state(basis).amplitudes
+    real, imag = dynamics._propagate(eigensystem, psi0, series.times[1], series.times.size)
     populations = real**2 + imag**2
     reference = {
         "W_over_capacity": observables.spin_moments(populations, N).p,

@@ -7,6 +7,17 @@ arbitrarily many samples.  The large_n operator is 2 g sqrt(n) J_x, a
 rigid spin rotation, so its rung populations are the closed-form
 Binomial(N, sin^2(g sqrt(n) t)) and need no eigensolver.  Both routes end
 in the same rung-population matrix, from which every observable follows.
+
+A run forms only the rows of that matrix its observables read.  Fidelity
+reads rung N alone: the exact model then multiplies by the one row V[N]
+instead of all of V, large_n evaluates just sin^(2N), and with n < N it
+is identically 0 and nothing is solved.  Every other observable reads
+every rung.  On the uniform grid t_m = m dt the phases factor as
+exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt) with
+m = a B + b and B = ceil(sqrt(steps)), so two tables of about sqrt(steps)
+angles per eigenvalue replace a cos and a sin per sample; their products
+are formed in real arithmetic, weighted by V^T psi, directly in the block
+that goes through V[rows].
 """
 
 from __future__ import annotations
@@ -22,6 +33,9 @@ from .operators import ModelParams, TridiagonalOperator, exact_tc_matrix, large_
 from .spectra import EigenSystem, eigendecompose
 
 MODELS = ("exact", "large_n")
+
+# exp of anything below this is subnormal or 0
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 # canonical recording order, also the CSV column order
 OBSERVABLE_NAMES = (
@@ -112,35 +126,51 @@ def evolve(state: SectorState, eigensystem: EigenSystem, t: float) -> SectorStat
         )
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    real, imag = _propagate(eigensystem, state.amplitudes, [t])
-    return SectorState(state.basis, real[:, 0] + 1j * imag[:, 0])
+    # column 1 of the two-sample grid {0, t}
+    real, imag = _propagate(eigensystem, state.amplitudes, t, 2)
+    return SectorState(state.basis, real[:, 1] + 1j * imag[:, 1])
 
 
-def _propagate(eigensystem: EigenSystem, amplitudes: np.ndarray, times):
-    """V exp(-i D t) V^T applied to the amplitudes, one column per time.
+def _propagate(
+    eigensystem: EigenSystem, amplitudes: np.ndarray, dt: float, steps: int, rows=slice(None)
+):
+    """Rows `rows` of V exp(-i D t_m) V^T psi on the grid t_m = m dt, m < steps.
 
-    V is real, so the real and imaginary parts of exp(-i D t) V^T psi sit
-    side by side in one real block and go through a single real GEMM;
-    the weights V^T psi come from two real products as well.  Neither step
-    upcasts V to a complex copy.  Returns the (real, imaginary) pair of
-    (dim, times) arrays.
+    V is real, so the real and imaginary parts of exp(-i D t_m) V^T psi sit
+    side by side in one real block and go through a single real product
+    with V[rows]; the weights V^T psi come from two real products as well.
+    Neither step upcasts V to a complex copy.  With B = ceil(sqrt(steps))
+    and m = a B + b, exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt),
+    so only the coarse (a) and fine (b) tables, about 2 sqrt(steps) angles
+    per eigenvalue, go through cos and sin.  The weights are folded into
+    the fine table and one batched real matmul per part writes the products
+    straight into the block.  Returns the (real, imaginary) pair of
+    (rows, steps) arrays.
     """
     vectors = eigensystem.eigenvectors
+    dim = vectors.shape[0]
+    fine = math.isqrt(steps - 1) + 1
+    coarse = -(-steps // fine)
     w_re = (vectors.T @ amplitudes.real)[:, None]
     w_im = (vectors.T @ amplitudes.imag)[:, None]
-    angles = np.outer(eigensystem.eigenvalues, times)
-    count = angles.shape[1]
-    block = np.empty((angles.shape[0], 2 * count))
-    cos = np.cos(angles, out=block[:, :count])
-    sin = np.sin(angles, out=block[:, count:])
-    del angles
-    # exp(-i a) (w_re + i w_im) = (cos w_re + sin w_im) + i (cos w_im - sin w_re)
-    real = cos * w_re + sin * w_im
-    sin *= -w_re
-    sin += cos * w_im
-    cos[...] = real
-    stacked = vectors @ block
-    return stacked[:, :count], stacked[:, count:]
+    angles = np.outer(eigensystem.eigenvalues, np.arange(fine) * dt)
+    cos, sin = np.cos(angles), np.sin(angles)
+    # exp(-i b) (w_re + i w_im) = (cos w_re + sin w_im) + i (cos w_im - sin w_re);
+    # rows re, im, -re, so that [re; im] and [im; -re] are both contiguous pairs
+    weighted = np.empty((dim, 3, fine))
+    weighted[:, 0] = cos * w_re + sin * w_im
+    weighted[:, 1] = cos * w_im - sin * w_re
+    np.negative(weighted[:, 0], out=weighted[:, 2])
+    angles = np.outer(eigensystem.eigenvalues, np.arange(0, coarse * fine, fine) * dt)
+    rotations = np.empty((dim, coarse, 2))
+    np.cos(angles, out=rotations[..., 0])
+    np.sin(angles, out=rotations[..., 1])
+    # (cos - i sin)(re + i im) = (cos re + sin im) + i (cos im - sin re)
+    block = np.empty((dim, 2, coarse, fine))
+    np.matmul(rotations, weighted[:, 0:2], out=block[:, 0])
+    np.matmul(rotations, weighted[:, 1:3], out=block[:, 1])
+    stacked = (vectors[rows] @ block.reshape(dim, -1)).reshape(-1, 2, coarse * fine)
+    return stacked[:, 0, :steps], stacked[:, 1, :steps]
 
 
 def _rotation_populations(N: int, angles: np.ndarray) -> np.ndarray:
@@ -150,16 +180,19 @@ def _rotation_populations(N: int, angles: np.ndarray) -> np.ndarray:
     (Arecchi et al., PRA 6, 2211 (1972)), so rung k holds
     C(N, k) sin^(2k) cos^(2(N-k)).  The end rungs are plain powers, so
     angle 0 and pi/2 give exact delta populations; the inner rungs, whose
-    binomials overflow a float, are summed in log space.
+    binomials overflow a float, are summed in log space.  Exponents below
+    log(tiny) stay an exact 0: exp would give a subnormal of at most
+    2.2e-308, and slowly.
     """
     up, down = np.sin(angles) ** 2, np.cos(angles) ** 2
-    populations = np.empty((N + 1, up.size))
+    populations = np.zeros((N + 1, up.size))
     populations[0], populations[N] = down**N, up**N
     k = np.arange(1, N)[:, None]
     log_binomial = np.array(
         [math.lgamma(N + 1.0) - math.lgamma(j + 1.0) - math.lgamma(N - j + 1.0) for j in range(1, N)]
     )[:, None]
-    populations[1:N] = np.exp(log_binomial + k * _log(up) + (N - k) * _log(down))
+    exponent = log_binomial + k * _log(up) + (N - k) * _log(down)
+    np.exp(exponent, out=populations[1:N], where=exponent > _LOG_TINY)
     return populations
 
 
@@ -192,30 +225,27 @@ def run(config: SimulationConfig) -> ObservableSeries:
 
     Each sample is evolved independently from t = 0: spectrally for the
     exact model, as the closed-form Binomial(N, sin^2(g sqrt(n) t)) rung
-    populations for large_n.  Past the coupling window t_off nothing acts
-    in the rotating frame, so every observable is frozen at its t_off
-    value.
+    populations for large_n.  Only the rungs the recorded observables read
+    are formed: fidelity reads rung N alone, every other observable reads
+    every rung.  Past the coupling window t_off nothing acts in the
+    rotating frame, so every observable is frozen at its t_off value.
     """
     basis = build_sector(config.N, config.n)
     times = np.linspace(0.0, config.t_max, config.steps)
-    effective = np.minimum(times, config.params.t_off)
-
-    if config.model == "large_n":
-        rate = config.params.g * math.sqrt(basis.n)
-        populations = _rotation_populations(basis.N, rate * effective)
-    else:
-        operator = sector_operator(basis, config.params, config.model)
-        real, imag = _propagate(eigendecompose(operator), initial_state(basis).amplitudes, effective)
-        populations = real**2 + imag**2
     wanted = set(config.record)
     data: dict[str, np.ndarray] = {}
+    if "fidelity" in wanted and basis.n < basis.N:
+        # the fully charged product state lies outside the reachable sector
+        data["fidelity"] = np.zeros_like(times)
+    pending = wanted - data.keys()
+    if not pending:
+        return ObservableSeries(times=times, data=data)
+    # rung N, when it is read, is the top rung of the ladder
+    rows = slice(-1, None) if pending == {"fidelity"} else slice(None)
+    populations = _rung_populations(basis, config, times, rows)
 
-    if "fidelity" in wanted:
-        if basis.n >= basis.N:
-            data["fidelity"] = populations[basis.N]
-        else:
-            # the fully charged product state lies outside the reachable sector
-            data["fidelity"] = np.zeros_like(times)
+    if "fidelity" in pending:
+        data["fidelity"] = populations[-1]
     if "excitation" in wanted or "norm" in wanted:
         total = populations.sum(axis=0)
         if "excitation" in wanted:
@@ -235,3 +265,30 @@ def run(config: SimulationConfig) -> ObservableSeries:
             data["cos_theta"] = moments.cos_theta()
 
     return ObservableSeries(times=times, data=data)
+
+
+def _rung_populations(
+    basis: SectorBasis, config: SimulationConfig, times: np.ndarray, rows
+) -> np.ndarray:
+    """(rungs `rows`, samples) populations, frozen at the t_off state past t_off."""
+    t_off = config.params.t_off
+    if config.model == "large_n":
+        angles = config.params.g * math.sqrt(basis.n) * np.minimum(times, t_off)
+        if rows == slice(None):
+            return _rotation_populations(basis.N, angles)
+        # the top rung alone: rung N holds sin^(2N)
+        return (np.sin(angles)[None] ** 2) ** basis.N
+    eigensystem = eigendecompose(sector_operator(basis, config.params, config.model))
+    psi0 = initial_state(basis).amplitudes
+    live = int(np.count_nonzero(times < t_off))
+    # linspace samples are m * times[1], the last one up to rounding
+    real, imag = _propagate(eigensystem, psi0, times[1], live, rows)
+    populations = np.empty((real.shape[0], times.size))
+    head = populations[:, :live]
+    np.square(real, out=head)
+    head += np.square(imag, out=imag)
+    if live < times.size:
+        # column 1 of the two-sample grid {0, t_off}
+        real, imag = _propagate(eigensystem, psi0, t_off, 2, rows)
+        populations[:, live:] = real[:, 1:] ** 2 + imag[:, 1:] ** 2
+    return populations

@@ -92,6 +92,63 @@ def test_detect_flip_time_skips_early_ripples():
     assert height > 0.9
 
 
+def _first_peak_by_loop(series):
+    """Per-sample scan that detect_flip_time replaces; None when nothing qualifies."""
+    times, fidelity = series.times, series["fidelity"]
+    for i in range(1, fidelity.size - 1):
+        left, middle, right = fidelity[i - 1], fidelity[i], fidelity[i + 1]
+        if middle >= left and middle >= right and (middle > left or middle > right):
+            peak_time, peak_value = analysis._refine_peak(times, fidelity, i)
+            if peak_value > analysis.DETECTION_THRESHOLD:
+                return peak_time, peak_value
+    return None
+
+
+def _assert_scan_matches_loop(values):
+    series = ObservableSeries(
+        times=np.linspace(0.0, 1.0, len(values)), data={"fidelity": np.array(values, dtype=float)}
+    )
+    expected = _first_peak_by_loop(series)
+    if expected is None:
+        with pytest.raises(FlipDetectionError):
+            detect_flip_time(series)
+        return None
+    assert detect_flip_time(series) == expected
+    return expected
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # plateaus: both edges are candidates, the flat middle is not
+        [0.0, 0.2, 0.8, 0.8, 0.8, 0.3, 0.0],
+        [0.0, 0.4, 0.4, 0.4, 0.1, 0.9, 0.2],
+        [0.6, 0.6, 0.6, 0.6, 0.6],
+        # refined heights of exactly 0.5 are not above the threshold
+        [0.0, 0.25, 0.5, 0.25, 0.0, 0.3, 0.7, 0.3],
+        [0.0, 0.5, 0.5, 0.5, 0.0],
+        [0.0, 0.25, 0.5, 0.25, 0.0],
+        # no interior peak at all
+        [0.0, 0.1, 0.2, 0.9, 1.0],
+        [1.0, 0.9, 0.2, 0.1, 0.0],
+        [0.3, 0.1, 0.3],
+        [0.2, 0.9],
+    ],
+)
+def test_detect_flip_time_matches_per_sample_scan(values):
+    _assert_scan_matches_loop(values)
+
+
+def test_detect_flip_time_matches_per_sample_scan_on_random_series():
+    rng = np.random.default_rng(20261019)
+    found = 0
+    for _ in range(300):
+        walk = np.clip(np.cumsum(rng.normal(0.0, 0.2, rng.integers(3, 40))), 0.0, 1.0)
+        # one decimal puts plateaus and exact 0.5 values in most series
+        found += _assert_scan_matches_loop(np.round(walk, 1)) is not None
+    assert 0 < found < 300
+
+
 def test_flip_summary_ok_on_clean_flip():
     summary = flip_summary(3, 40, ModelParams(), "exact", 2000, window=2.5)
     assert summary.status == "ok"

@@ -22,7 +22,7 @@ from dicke_battery.observables import (
     von_neumann_entropy,
 )
 from dicke_battery.operators import ModelParams, exact_tc_matrix, large_n_matrix
-from dicke_battery.spectra import eigendecompose
+from dicke_battery.spectra import EigenSystem, eigendecompose
 
 
 def test_evolve_at_zero_is_identity():
@@ -252,7 +252,9 @@ def test_large_n_closed_form_matches_spectral_reference(N):
     assert series.times[0] == 0.0 and series.times[20] == tau
 
     eig = eigendecompose(large_n_matrix(N, params, n))
-    real, imag = dynamics._propagate(eig, initial_state(build_sector(N, n)).amplitudes, series.times)
+    real, imag = dynamics._propagate(
+        eig, initial_state(build_sector(N, n)).amplitudes, series.times[1], series.times.size
+    )
     populations = real**2 + imag**2
     reference = {
         "W_over_capacity": spin_moments(populations, N).p,
@@ -281,6 +283,61 @@ def test_large_n_run_freezes_after_t_off():
     at_cut = run(unswitched)
     for name in series.recorded:
         np.testing.assert_array_equal(series[name][frozen], at_cut[name][-1])
+
+
+@pytest.mark.parametrize("model", ["exact", "large_n"])
+@pytest.mark.parametrize(
+    "N, n, t_off",
+    [(1, 3, math.inf), (6, 6, math.inf), (9, 400, math.inf), (40, 900, math.inf), (7, 50, 0.21)],
+)
+def test_fidelity_only_run_matches_full_run(model, N, n, t_off):
+    params = ModelParams(g=0.8, t_off=t_off)
+    t_max = 3 * universal_flip_time(N, params.g, n)
+    full = run(SimulationConfig(N=N, n=n, params=params, t_max=t_max, steps=503, model=model))
+    alone = run(
+        SimulationConfig(
+            N=N, n=n, params=params, t_max=t_max, steps=503, model=model, record=("fidelity",)
+        )
+    )
+    assert alone.recorded == ("fidelity",)
+    assert full["fidelity"].max() > 0.1
+    np.testing.assert_allclose(alone["fidelity"], full["fidelity"], rtol=0, atol=1e-14)
+
+
+def test_unreachable_fidelity_only_run_is_zero_without_eigensolve(monkeypatch):
+    def no_eigensolve(operator):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(dynamics, "eigendecompose", no_eigensolve)
+    config = SimulationConfig(
+        N=30, n=12, params=ModelParams(), t_max=4.0, steps=301, record=("fidelity",)
+    )
+    series = run(config)
+    assert series.recorded == ("fidelity",)
+    np.testing.assert_array_equal(series["fidelity"], 0.0)
+    with pytest.raises(AssertionError, match="eigensolver"):
+        run(SimulationConfig(N=30, n=12, params=ModelParams(), t_max=4.0, steps=301))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 17, 20001, 20022])
+def test_phase_tables_match_direct_phases(steps):
+    # dyadic eigenvalues and step make every angle lambda m dt exact in both
+    # routes, so the comparison sees only the coarse x fine factorization
+    eigenvalues = np.array([-1.0, -0.6875, -0.25, 0.0, 0.0078125, 0.5, 0.875, 1.0])
+    dt = 0.5 if steps > 100 else 0.75
+    rng = np.random.default_rng(steps)
+    weights = rng.normal(size=8) + 1j * rng.normal(size=8)
+    identity = EigenSystem(eigenvalues, np.eye(8))
+    real, imag = dynamics._propagate(identity, weights, dt, steps)
+    times = np.arange(steps) * dt
+    if steps == 20001:
+        assert eigenvalues.max() * times[-1] >= 1e4
+    reference = np.exp(-1j * np.outer(eigenvalues, times)) * weights[:, None]
+    np.testing.assert_allclose(real + 1j * imag, reference, rtol=0, atol=1e-12)
+    # the rows argument picks rows of the same result
+    real_rows, imag_rows = dynamics._propagate(identity, weights, dt, steps, rows=slice(2, 5))
+    np.testing.assert_array_equal(real_rows, real[2:5])
+    np.testing.assert_array_equal(imag_rows, imag[2:5])
 
 
 def test_series_validation():
