@@ -10,8 +10,8 @@ in the same rung-population matrix, from which every observable follows.
 
 A run forms only the rows of that matrix its observables read.  Fidelity
 reads rung N alone: the exact model then multiplies by the one row V[N]
-instead of all of V, large_n evaluates just sin^(2N), and with n < N it
-is identically 0 and nothing is solved.  Every other observable reads
+instead of all of V, and with n < N it is identically 0 and nothing is
+solved.  Every other observable reads
 every rung.  On the uniform grid t_m = m dt the phases factor as
 exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt) with
 m = a B + b and B = ceil(sqrt(steps)), so two tables of about sqrt(steps)
@@ -225,9 +225,9 @@ def run(config: SimulationConfig) -> ObservableSeries:
 
     Each sample is evolved independently from t = 0: spectrally for the
     exact model, as the closed-form Binomial(N, sin^2(g sqrt(n) t)) rung
-    populations for large_n.  Only the rungs the recorded observables read
-    are formed: fidelity reads rung N alone, every other observable reads
-    every rung.  Past the coupling window t_off nothing acts in the
+    populations for large_n.  The exact model propagates only the rungs
+    the recorded observables read: fidelity reads rung N alone, every
+    other observable reads every rung.  Past the coupling window t_off nothing acts in the
     rotating frame, so every observable is frozen at its t_off value.
     """
     basis = build_sector(config.N, config.n)
@@ -274,10 +274,7 @@ def _rung_populations(
     t_off = config.params.t_off
     if config.model == "large_n":
         angles = config.params.g * math.sqrt(basis.n) * np.minimum(times, t_off)
-        if rows == slice(None):
-            return _rotation_populations(basis.N, angles)
-        # the top rung alone: rung N holds sin^(2N)
-        return (np.sin(angles)[None] ** 2) ** basis.N
+        return _rotation_populations(basis.N, angles)[rows]
     eigensystem = eigendecompose(sector_operator(basis, config.params, config.model))
     psi0 = initial_state(basis).amplitudes
     live = int(np.count_nonzero(times < t_off))
