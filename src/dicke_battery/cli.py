@@ -32,8 +32,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_MODEL_ALIASES = {"exact": "exact", "large-n": "large_n", "large_n": "large_n"}
-
 
 class ConfigError(ValueError):
     """Bad configuration file or flag value."""
@@ -61,82 +59,56 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return raw
 
 
-_SIMULATE_KEYS = {
-    "spins": int,
-    "photons": int,
-    "coupling": float,
-    "model": str,
-    "t_max": float,
-    "steps": int,
-    "t_off": float,
-    "observables": str,
-    "out": str,
+def model_name(text: str) -> str:
+    """Canonical model for `exact`, `large-n` or `large_n`, the `--model` type."""
+    name = text.replace("-", "_")
+    if name not in dynamics.MODELS:
+        raise ValueError(f"unknown model {text!r}, expected exact, large-n or large_n")
+    return name
+
+
+def _name_list(text: str) -> list[str]:
+    """Comma-separated names, blanks dropped."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+# each simulate setting: (type, default, help).  The type reads the flag, the
+# config value and the default string alike; flag --t-max is config key t_max.
+_REQUIRED = object()  # the default of a setting that has none
+_SIMULATE_SETTINGS = {
+    "spins": (int, _REQUIRED, "number of battery spins N"),
+    "photons": (int, _REQUIRED, "initial cavity photons n"),
+    "coupling": (float, "1.0", "spin-photon coupling g"),
+    "model": (model_name, "exact", "exact, large-n or large_n"),
+    "t_max": (float, _REQUIRED, "end of the sampled window"),
+    "steps": (int, "2000", "number of samples"),
+    "t_off": (float, "inf", "end of the charging window"),
+    "observables": (_name_list, ",".join(OBSERVABLE_NAMES), "comma list to record"),
+    "out": (str, None, "CSV path (stdout if omitted)"),
 }
 
 
-def _coerce(key: str, value: str, kind) -> object:
-    try:
-        return kind(value)
-    except ValueError as error:
-        raise ConfigError(f"bad value for {key}: {value!r}") from error
-
-
 def _resolve_simulate_settings(args: argparse.Namespace) -> dict:
-    settings: dict = {
-        "coupling": 1.0,
-        "model": "exact",
-        "steps": 2000,
-        "t_off": math.inf,
-        "observables": list(OBSERVABLE_NAMES),
+    """Each setting from its flag, else from the config file, else its default."""
+    settings = {
+        key: kind(default)
+        for key, (kind, default, _) in _SIMULATE_SETTINGS.items()
+        if isinstance(default, str)
     }
-    if args.config:
-        for key, value in parse_config_file(args.config).items():
-            if key not in _SIMULATE_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            settings[key] = _coerce(key, value, _SIMULATE_KEYS[key])
-    for key in ("spins", "photons", "coupling", "model", "t_max", "steps", "t_off", "out"):
-        flag_value = getattr(args, key.replace("-", "_"), None)
-        if flag_value is not None:
-            settings[key] = flag_value
-    if args.observables is not None:
-        settings["observables"] = args.observables
-    if isinstance(settings.get("observables"), str):
-        settings["observables"] = [
-            name.strip() for name in settings["observables"].split(",") if name.strip()
-        ]
-    for key in ("spins", "photons", "t_max"):
-        if key not in settings:
+    for key, text in (parse_config_file(args.config) if args.config else {}).items():
+        if key not in _SIMULATE_SETTINGS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            settings[key] = _SIMULATE_SETTINGS[key][0](text)
+        except ValueError as error:
+            raise ConfigError(f"bad value for {key}: {error}") from error
+    settings.update(
+        (key, getattr(args, key)) for key in _SIMULATE_SETTINGS if getattr(args, key) is not None
+    )
+    for key, (_, default, _) in _SIMULATE_SETTINGS.items():
+        if default is _REQUIRED and key not in settings:
             raise ConfigError(f"missing required setting {key!r}")
-    settings["model"] = _normalize_model(str(settings["model"]))
     return settings
-
-
-def _normalize_model(name: str) -> str:
-    try:
-        return _MODEL_ALIASES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown model {name!r}, expected one of {sorted(set(_MODEL_ALIASES))}"
-        ) from None
-
-
-def _build_simulation(settings: dict) -> SimulationConfig:
-    """Construct and validate all run inputs; failures are config errors."""
-    try:
-        params = ModelParams(g=float(settings["coupling"]), t_off=float(settings["t_off"]))
-        config = SimulationConfig(
-            N=int(settings["spins"]),
-            n=int(settings["photons"]),
-            params=params,
-            t_max=float(settings["t_max"]),
-            steps=int(settings["steps"]),
-            model=settings["model"],
-            record=tuple(settings["observables"]),
-        )
-        build_sector(config.N, config.n)
-    except ValueError as error:
-        raise ConfigError(str(error)) from error
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +162,18 @@ def _emit(command: str, parameters: dict, text: str, out: str | None, started: f
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     settings = _resolve_simulate_settings(args)
-    config = _build_simulation(settings)
+    try:
+        config = SimulationConfig(
+            N=settings["spins"],
+            n=settings["photons"],
+            params=ModelParams(g=settings["coupling"], t_off=settings["t_off"]),
+            t_max=settings["t_max"],
+            steps=settings["steps"],
+            model=settings["model"],
+            record=tuple(settings["observables"]),
+        )
+    except ValueError as error:
+        raise ConfigError(str(error)) from error
     series = dynamics.run(config)
     columns = [series.times.tolist(), *(series[name].tolist() for name in series.recorded)]
     text = _csv_text(["t", *series.recorded], columns)
@@ -200,11 +183,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    model = _normalize_model(args.model)
     try:
         basis = build_sector(args.spins, args.photons)
         params = ModelParams(g=args.coupling)
-        operator = dynamics.sector_operator(basis, params, model)
+        operator = dynamics.sector_operator(basis, params, args.model)
     except ValueError as error:
         raise ConfigError(str(error)) from error
     eigensystem = spectra.eigendecompose(operator)
@@ -438,16 +420,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("sweep needs --photons or --photons-per-spin")
     points = [(N, n) for N in spins for n in photon_lists[N]]
-    model = _normalize_model(args.model)
     try:
         params = ModelParams(g=args.coupling)
         for N, n in points:
-            if N < 1 or n < 1:
-                raise ValueError(f"grid point N={N}, n={n}: need N >= 1 and n >= 1")
             build_sector(N, n)
     except ValueError as error:
         raise ConfigError(str(error)) from error
-    flips = [analysis.flip_summary(N, n, params, model, args.steps, window=2.5) for N, n in points]
+    flips = [analysis.flip_summary(N, n, params, args.model, args.steps, window=2.5)
+             for N, n in points]
     header = ["N", "n", "tau_analytic", "tau_detected", "peak_fidelity", "power_ratio", "status"]
     columns = [
         [N for N, _ in points],
@@ -476,22 +456,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate", help="charging run, CSV time series")
     simulate.add_argument("--config", help="flat key = value config file")
-    simulate.add_argument("--spins", type=int, help="number of battery spins N")
-    simulate.add_argument("--photons", type=int, help="initial cavity photons n")
-    simulate.add_argument("--coupling", type=float, help="spin-photon coupling g")
-    simulate.add_argument("--model", choices=["exact", "large-n"], dest="model", default=None)
-    simulate.add_argument("--t-max", type=float, dest="t_max", help="end of the sampled window")
-    simulate.add_argument("--steps", type=int, help="number of samples (default 2000)")
-    simulate.add_argument("--t-off", type=float, dest="t_off", help="end of the charging window")
-    simulate.add_argument("--observables", help="comma list; default records all")
-    simulate.add_argument("--out", help="CSV path (stdout if omitted)")
+    for key, (kind, default, text) in _SIMULATE_SETTINGS.items():
+        suffix = f" (default {default})" if isinstance(default, str) else ""
+        simulate.add_argument(f"--{key.replace('_', '-')}", type=kind, help=text + suffix)
     simulate.set_defaults(handler=cmd_simulate)
 
     spectrum = commands.add_parser("spectrum", help="numeric vs analytic eigenvalues, JSON")
     spectrum.add_argument("--spins", type=int, required=True)
     spectrum.add_argument("--photons", type=int, required=True)
     spectrum.add_argument("--coupling", type=float, default=1.0)
-    spectrum.add_argument("--model", choices=["exact", "large-n"], default="large-n")
+    spectrum.add_argument("--model", type=model_name, default="large-n")
     spectrum.add_argument("--out", help="JSON path (stdout if omitted)")
     spectrum.set_defaults(handler=cmd_spectrum)
 
@@ -512,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--photons-per-spin", type=float, dest="photons_per_spin",
                        help="set n = value * N per grid point")
     sweep.add_argument("--coupling", type=float, default=1.0, help="spin-photon coupling g")
-    sweep.add_argument("--model", choices=["exact", "large-n"], default="exact")
+    sweep.add_argument("--model", type=model_name, default="exact")
     sweep.add_argument("--steps", type=int, default=2000)
     sweep.add_argument("--out", help="CSV path (stdout if omitted)")
     sweep.set_defaults(handler=cmd_sweep)

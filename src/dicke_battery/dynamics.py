@@ -23,7 +23,7 @@ that goes through V[rows].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class SimulationConfig:
     """Everything a charging run needs.
 
     record selects which observables to evaluate; order is irrelevant,
-    the canonical order of OBSERVABLE_NAMES is used throughout.
+    the canonical order of OBSERVABLE_NAMES is used throughout.  basis is
+    the sector of N and n, built (and so checked) on construction.
     """
 
     N: int
@@ -64,8 +65,10 @@ class SimulationConfig:
     steps: int
     model: str = "exact"
     record: tuple[str, ...] = OBSERVABLE_NAMES
+    basis: SectorBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "basis", build_sector(self.N, self.n))
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.model == "large_n" and self.n < self.N:
@@ -230,7 +233,7 @@ def run(config: SimulationConfig) -> ObservableSeries:
     other observable reads every rung.  Past the coupling window t_off nothing acts in the
     rotating frame, so every observable is frozen at its t_off value.
     """
-    basis = build_sector(config.N, config.n)
+    basis = config.basis
     times = np.linspace(0.0, config.t_max, config.steps)
     wanted = set(config.record)
     data: dict[str, np.ndarray] = {}
@@ -242,7 +245,7 @@ def run(config: SimulationConfig) -> ObservableSeries:
         return ObservableSeries(times=times, data=data)
     # rung N, when it is read, is the top rung of the ladder
     rows = slice(-1, None) if pending == {"fidelity"} else slice(None)
-    populations = _rung_populations(basis, config, times, rows)
+    populations = _rung_populations(config, times, rows)
 
     if "fidelity" in pending:
         data["fidelity"] = populations[-1]
@@ -267,10 +270,9 @@ def run(config: SimulationConfig) -> ObservableSeries:
     return ObservableSeries(times=times, data=data)
 
 
-def _rung_populations(
-    basis: SectorBasis, config: SimulationConfig, times: np.ndarray, rows
-) -> np.ndarray:
+def _rung_populations(config: SimulationConfig, times: np.ndarray, rows) -> np.ndarray:
     """(rungs `rows`, samples) populations, frozen at the t_off state past t_off."""
+    basis = config.basis
     t_off = config.params.t_off
     if config.model == "large_n":
         angles = config.params.g * math.sqrt(basis.n) * np.minimum(times, t_off)

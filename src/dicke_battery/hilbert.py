@@ -41,9 +41,7 @@ class SectorBasis:
 
     def __post_init__(self) -> None:
         if self.N < 1 or self.n < 1:
-            raise ValueError(
-                f"need at least one spin and one photon, got N={self.N}, n={self.n}"
-            )
+            raise ValueError(f"need N >= 1 and n >= 1, got N={self.N}, n={self.n}")
         if self.N > MAX_COUNT or self.n > MAX_COUNT:
             raise ValueError(f"N and n may not exceed {MAX_COUNT}")
         if min(self.N, self.n) > MAX_TRANSFER:

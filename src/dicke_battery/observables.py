@@ -115,17 +115,17 @@ def pairwise_concurrence(density: np.ndarray) -> float:
     """Wootters concurrence of a two-spin density matrix.
 
     max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
-    eigenvalues of rho (sy x sy) rho* (sy x sy).
+    eigenvalues of rho (sy x sy) rho* (sy x sy).  They are taken as the
+    singular values of sqrt(rho) (sy x sy) sqrt(rho)*, which never square-
+    roots a near-zero eigenvalue and so keeps rounding at its own size.
     """
     rho = np.asarray(density, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"two-spin density matrix must be 4x4, got {rho.shape}")
-    flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    eigenvalues = np.linalg.eigvals(rho @ flipped)
-    # exact eigenvalues are real >= 0; rounding can leave tiny imaginary dust
-    lam = np.sqrt(np.clip(eigenvalues.real, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
+    weights, vectors = np.linalg.eigh(rho)
+    root = (vectors * np.sqrt(np.clip(weights, 0.0, None))) @ vectors.conj().T
+    lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def energy_variance(state: SectorState, operator: TridiagonalOperator) -> float:

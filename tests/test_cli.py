@@ -470,6 +470,64 @@ def test_unknown_model_flag_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--spins", "3", "--photons", "9", "--t-max", "0.8", "--steps", "7"],
+    ["spectrum", "--spins", "3", "--photons", "9"],
+    ["sweep", "--spins", "1:3", "--photons", "100", "--steps", "600"],
+])
+def test_model_flag_takes_every_spelling(capsys, argv):
+    outputs = {}
+    for spelling in ("large-n", "large_n"):
+        code, outputs[spelling], _ = run_cli(capsys, [*argv, "--model", spelling])
+        assert code == 0
+    assert outputs["large_n"] == outputs["large-n"]
+
+
+def test_config_file_and_flags_give_the_same_run(tmp_path, capsys):
+    values = {
+        "spins": "3", "photons": "40", "coupling": "0.8", "model": "large_n",
+        "t_max": "0.4", "steps": "25", "t_off": "0.3", "observables": "norm,fidelity,concurrence",
+    }
+    assert set(values) | {"out"} == set(cli._SIMULATE_SETTINGS)
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in values.items())
+                      + f"out = {tmp_path / 'from_config.csv'}\n")
+    assert cli.main(["simulate", "--config", str(config)]) == 0
+    flags = [item for key, value in values.items() for item in (f"--{key.replace('_', '-')}", value)]
+    assert cli.main(["simulate", *flags, "--out", str(tmp_path / "from_flags.csv")]) == 0
+    csv = {name: (tmp_path / f"{name}.csv").read_bytes() for name in ("from_config", "from_flags")}
+    assert csv["from_config"] == csv["from_flags"]
+    assert csv["from_flags"].startswith(b"t,fidelity,concurrence,norm\n")
+    parameters = [
+        json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["parameters"]
+        for name in ("from_config", "from_flags")
+    ]
+    for manifest in parameters:
+        del manifest["out"]
+    assert parameters[0] == parameters[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--spins", "2", "--photons", "4", "--model", "bogus"],
+    ["sweep", "--spins", "2", "--photons", "4", "--model", "bogus"],
+])
+def test_unknown_model_flag_is_usage_error_everywhere(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert "argument --model" in capsys.readouterr().err
+
+
+def test_unknown_model_config_value_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("spins = 2\nphotons = 4\nt_max = 1.0\nmodel = bogus\n")
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(config)])
+    assert code == 2
+    assert out == ""
+    assert "unknown model 'bogus'" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--version"])

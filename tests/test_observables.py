@@ -13,7 +13,7 @@ from dicke_battery.observables import (
     two_spin_density,
     von_neumann_entropy,
 )
-from dicke_battery.operators import ModelParams, large_n_matrix
+from dicke_battery.operators import ModelParams, exact_tc_matrix, large_n_matrix
 from dicke_battery.spectra import eigendecompose
 from dicke_battery import oracle
 
@@ -135,6 +135,25 @@ def test_concurrence_of_bell_state_reference():
     bell[1, 1] = bell[2, 2] = bell[1, 2] = bell[2, 1] = 0.5
     assert pairwise_concurrence(bell) == pytest.approx(1.0, abs=1e-12)
     assert pairwise_concurrence(np.diag([1.0, 0.0, 0.0, 0.0])) == 0.0
+
+
+def test_wootters_concurrence_of_oracle_pairs_matches_closed_form():
+    # the oracle's pair densities have near-zero eigenvalues; Wootters'
+    # formula must not amplify their rounding past the X-state closed form
+    params = ModelParams()
+    rng = np.random.default_rng(1234)
+    worst = 0.0
+    for N in (2, 3, 4):
+        for n in range(1, 13):
+            basis = build_sector(N, n)
+            eigensystem = eigendecompose(exact_tc_matrix(basis, params))
+            times = rng.uniform(0.0, 5.0, size=10)
+            for t, full in zip(times, oracle.brute_force_trajectory(N, n, params, times)):
+                state = evolve(initial_state(basis), eigensystem, float(t))
+                closed = float(spin_moments(state.populations(), N).concurrence())
+                wootters = pairwise_concurrence(oracle.reduced_two_spin_density(full, 0, 1))
+                worst = max(worst, abs(wootters - closed))
+    assert worst <= 1e-11
 
 
 def test_concurrence_rejects_wrong_shape():
