@@ -58,11 +58,20 @@ def detect_flip_time(series: ObservableSeries) -> tuple[float, float]:
     fidelity = series["fidelity"]
     left, middle, right = fidelity[:-2], fidelity[1:-1], fidelity[2:]
     # interior local maxima, plateau edges included but not flat stretches
-    candidates = (middle >= left) & (middle >= right) & ((middle > left) | (middle > right))
-    for i in np.flatnonzero(candidates) + 1:
-        peak_time, peak_value = _refine_peak(series.times, fidelity, i)
-        if peak_value > DETECTION_THRESHOLD:
-            return peak_time, peak_value
+    candidates = np.flatnonzero(
+        (middle >= left) & (middle >= right) & ((middle > left) | (middle > right))
+    )
+    # every candidate's refined height by _refine_peak's formula and clamp;
+    # a flat top (curvature 0) keeps offset 0 and so its sampled height
+    left, middle, right = left[candidates], middle[candidates], right[candidates]
+    curvature = left - 2.0 * middle + right
+    offset = np.divide(
+        0.5 * (left - right), curvature, out=np.zeros_like(curvature), where=curvature != 0.0
+    )
+    heights = np.minimum(middle - 0.25 * (left - right) * offset, 1.0)
+    above = np.flatnonzero(heights > DETECTION_THRESHOLD)
+    if above.size:
+        return _refine_peak(series.times, fidelity, int(candidates[above[0]]) + 1)
     raise FlipDetectionError(
         f"no flip found: no fidelity peak above {DETECTION_THRESHOLD} in the window"
     )

@@ -84,8 +84,34 @@ _SIMULATE_SETTINGS = {
     "steps": (int, "2000", "number of samples"),
     "t_off": (float, "inf", "end of the charging window"),
     "observables": (_name_list, ",".join(OBSERVABLE_NAMES), "comma list to record"),
-    "out": (str, None, "CSV path (stdout if omitted)"),
+    "out": (str, None, "output path (stdout if omitted)"),
 }
+
+
+def _add_setting(
+    parser: argparse.ArgumentParser,
+    key: str,
+    *,
+    default: str | None = None,
+    text: str | None = None,
+    resolve: bool = True,
+) -> None:
+    """Add the flag of setting `key` from its row; `default` and `text` replace the row's.
+
+    With resolve the flag carries its default, parsed by the row's type,
+    and a setting without one is required.  `simulate` adds its flags
+    unresolved, defaulting to None, so a config file can fill them.
+    """
+    kind, row_default, row_text = _SIMULATE_SETTINGS[key]
+    default = row_default if default is None else default
+    options = {"type": kind, "help": text or row_text}
+    if isinstance(default, str):
+        options["help"] += f" (default {default})"
+        if resolve:
+            options["default"] = default  # argparse parses a string default by `type`
+    elif default is _REQUIRED and resolve:
+        options["required"] = True
+    parser.add_argument(f"--{key.replace('_', '-')}", **options)
 
 
 def _resolve_simulate_settings(args: argparse.Namespace) -> dict:
@@ -355,6 +381,28 @@ def _check_large_n_rotation() -> VerifyCheck:
     return VerifyCheck(f"large_n closed form vs spectral propagation (N = {N})", worst, 1e-10)
 
 
+def _check_spectral_measure() -> VerifyCheck:
+    # run's eigenvalue-only fidelity against the eigenvector route
+    N, n = 2000, 20000
+    tau = analysis.universal_flip_time(N, 1.0, n)
+    config = SimulationConfig(
+        N=N,
+        n=n,
+        params=ModelParams(),
+        t_max=2.0 * tau,
+        steps=101,
+        model="exact",
+        record=("fidelity",),
+    )
+    series = dynamics.run(config)
+    basis = build_sector(N, n)
+    eigensystem = spectra.eigendecompose(dynamics.sector_operator(basis, config.params, "exact"))
+    psi0 = initial_state(basis).amplitudes
+    real, imag = dynamics._propagate(eigensystem, psi0, series.times[1], series.times.size)
+    worst = float(np.max(np.abs(series["fidelity"] - (real[N] ** 2 + imag[N] ** 2))))
+    return VerifyCheck(f"spectral-measure fidelity vs eigenvector route (N = {N})", worst, 1e-10)
+
+
 def _check_rodrigues() -> VerifyCheck:
     worst = max(
         spectra.rodrigues_residual(N, k) for N in range(1, 11) for k in range(N + 1)
@@ -372,6 +420,7 @@ def _verification_checks() -> list[VerifyCheck]:
         _check_brute_force_agreement(),
         _check_unitarity(),
         _check_large_n_rotation(),
+        _check_spectral_measure(),
         _check_rodrigues(),
     ]
 
@@ -456,25 +505,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate", help="charging run, CSV time series")
     simulate.add_argument("--config", help="flat key = value config file")
-    for key, (kind, default, text) in _SIMULATE_SETTINGS.items():
-        suffix = f" (default {default})" if isinstance(default, str) else ""
-        simulate.add_argument(f"--{key.replace('_', '-')}", type=kind, help=text + suffix)
+    for key in _SIMULATE_SETTINGS:
+        _add_setting(simulate, key, resolve=False)
     simulate.set_defaults(handler=cmd_simulate)
 
     spectrum = commands.add_parser("spectrum", help="numeric vs analytic eigenvalues, JSON")
-    spectrum.add_argument("--spins", type=int, required=True)
-    spectrum.add_argument("--photons", type=int, required=True)
-    spectrum.add_argument("--coupling", type=float, default=1.0)
-    spectrum.add_argument("--model", type=model_name, default="large-n")
-    spectrum.add_argument("--out", help="JSON path (stdout if omitted)")
+    for key in ("spins", "photons", "coupling"):
+        _add_setting(spectrum, key)
+    _add_setting(spectrum, "model", default="large-n")
+    _add_setting(spectrum, "out")
     spectrum.set_defaults(handler=cmd_spectrum)
 
     compare = commands.add_parser("compare", help="parallel vs collective protocol, JSON")
-    compare.add_argument("--spins", type=int, required=True)
-    compare.add_argument("--photons", type=int, required=True, help="photons per parallel cavity")
-    compare.add_argument("--coupling", type=float, default=1.0, help="spin-photon coupling g")
-    compare.add_argument("--omega", type=float, default=1.0, help="energy per excitation")
-    compare.add_argument("--out", help="JSON path (stdout if omitted)")
+    _add_setting(compare, "spins")
+    _add_setting(compare, "photons", text="photons per parallel cavity")
+    _add_setting(compare, "coupling")
+    compare.add_argument("--omega", type=float, default=1.0, help="energy per excitation (default 1.0)")
+    _add_setting(compare, "out")
     compare.set_defaults(handler=cmd_compare)
 
     verify = commands.add_parser("verify", help="built-in correctness battery")
@@ -485,10 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--photons", help="photon grid spec (cartesian with spins)")
     sweep.add_argument("--photons-per-spin", type=float, dest="photons_per_spin",
                        help="set n = value * N per grid point")
-    sweep.add_argument("--coupling", type=float, default=1.0, help="spin-photon coupling g")
-    sweep.add_argument("--model", type=model_name, default="exact")
-    sweep.add_argument("--steps", type=int, default=2000)
-    sweep.add_argument("--out", help="CSV path (stdout if omitted)")
+    for key in ("coupling", "model", "steps", "out"):
+        _add_setting(sweep, key)
     sweep.set_defaults(handler=cmd_sweep)
 
     return parser

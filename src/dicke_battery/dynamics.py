@@ -9,15 +9,21 @@ Binomial(N, sin^2(g sqrt(n) t)) and need no eigensolver.  Both routes end
 in the same rung-population matrix, from which every observable follows.
 
 A run forms only the rows of that matrix its observables read.  Fidelity
-reads rung N alone: the exact model then multiplies by the one row V[N]
-instead of all of V, and with n < N it is identically 0 and nothing is
-solved.  Every other observable reads
-every rung.  On the uniform grid t_m = m dt the phases factor as
+reads rung N alone, and an exact run that records nothing else never
+forms an eigenvector: for the tridiagonal ladder <N| U(t) |0> is
+sum_j c_j exp(-i lambda_j t), and the end weights c_j = v_0j v_Nj follow
+from the eigenvalues (`spectra.spectral_measure`), so such a run solves
+for eigenvalues only and holds O(dim (chunk + sqrt(steps)) + steps)
+numbers.  With n < N fidelity is identically 0 and nothing is solved.
+Every other observable reads every rung.  On the uniform grid t_m = m dt
+the phases factor as
 exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt) with
 m = a B + b and B = ceil(sqrt(steps)), so two tables of about sqrt(steps)
-angles per eigenvalue replace a cos and a sin per sample; their products
-are formed in real arithmetic, weighted by V^T psi, directly in the block
-that goes through V[rows].
+angles per eigenvalue replace a cos and a sin per sample.  For every rung
+their products are formed in real arithmetic, weighted by V^T psi, in
+the block that goes through V; for the end-to-end amplitude they are one
+complex (coarse, dim) @ (dim, fine) product with the weights c_j folded
+into the fine table.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from . import observables
 from .hilbert import SectorBasis, SectorState, build_sector, initial_state
 from .operators import ModelParams, TridiagonalOperator, exact_tc_matrix, large_n_matrix
-from .spectra import EigenSystem, eigendecompose
+from .spectra import EigenSystem, eigendecompose, spectral_measure
 
 MODELS = ("exact", "large_n")
 
@@ -134,46 +140,68 @@ def evolve(state: SectorState, eigensystem: EigenSystem, t: float) -> SectorStat
     return SectorState(state.basis, real[:, 1] + 1j * imag[:, 1])
 
 
-def _propagate(
-    eigensystem: EigenSystem, amplitudes: np.ndarray, dt: float, steps: int, rows=slice(None)
-):
-    """Rows `rows` of V exp(-i D t_m) V^T psi on the grid t_m = m dt, m < steps.
+def _phase_tables(eigenvalues: np.ndarray, dt: float, steps: int):
+    """cos and sin of the coarse and fine phase tables of the grid t_m = m dt, m < steps.
+
+    With B = ceil(sqrt(steps)) and m = a B + b,
+    exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt), so only
+    the coarse angles lambda a B dt and the fine angles lambda b dt, about
+    2 sqrt(steps) per eigenvalue, go through cos and sin.  Returns the
+    (cos, sin) pairs of the (dim, coarse) and (dim, B) angle tables.
+    """
+    fine = math.isqrt(steps - 1) + 1
+    coarse = -(-steps // fine)
+    tables = []
+    for stride, count in ((fine, coarse), (1, fine)):
+        angles = np.outer(eigenvalues, np.arange(0, count * stride, stride) * dt)
+        tables.append((np.cos(angles), np.sin(angles)))
+    return tables
+
+
+def _propagate(eigensystem: EigenSystem, amplitudes: np.ndarray, dt: float, steps: int):
+    """V exp(-i D t_m) V^T psi on the grid t_m = m dt, m < steps.
 
     V is real, so the real and imaginary parts of exp(-i D t_m) V^T psi sit
     side by side in one real block and go through a single real product
-    with V[rows]; the weights V^T psi come from two real products as well.
-    Neither step upcasts V to a complex copy.  With B = ceil(sqrt(steps))
-    and m = a B + b, exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt),
-    so only the coarse (a) and fine (b) tables, about 2 sqrt(steps) angles
-    per eigenvalue, go through cos and sin.  The weights are folded into
+    with V; the weights V^T psi come from two real products as well.
+    Neither step upcasts V to a complex copy.  The phases come from the
+    coarse and fine tables of `_phase_tables`; the weights are folded into
     the fine table and one batched real matmul per part writes the products
     straight into the block.  Returns the (real, imaginary) pair of
-    (rows, steps) arrays.
+    (dim, steps) arrays.
     """
     vectors = eigensystem.eigenvectors
     dim = vectors.shape[0]
-    fine = math.isqrt(steps - 1) + 1
-    coarse = -(-steps // fine)
+    (coarse_cos, coarse_sin), (cos, sin) = _phase_tables(eigensystem.eigenvalues, dt, steps)
+    coarse, fine = coarse_cos.shape[1], cos.shape[1]
     w_re = (vectors.T @ amplitudes.real)[:, None]
     w_im = (vectors.T @ amplitudes.imag)[:, None]
-    angles = np.outer(eigensystem.eigenvalues, np.arange(fine) * dt)
-    cos, sin = np.cos(angles), np.sin(angles)
     # exp(-i b) (w_re + i w_im) = (cos w_re + sin w_im) + i (cos w_im - sin w_re);
     # rows re, im, -re, so that [re; im] and [im; -re] are both contiguous pairs
     weighted = np.empty((dim, 3, fine))
     weighted[:, 0] = cos * w_re + sin * w_im
     weighted[:, 1] = cos * w_im - sin * w_re
     np.negative(weighted[:, 0], out=weighted[:, 2])
-    angles = np.outer(eigensystem.eigenvalues, np.arange(0, coarse * fine, fine) * dt)
-    rotations = np.empty((dim, coarse, 2))
-    np.cos(angles, out=rotations[..., 0])
-    np.sin(angles, out=rotations[..., 1])
+    rotations = np.stack((coarse_cos, coarse_sin), axis=-1)
     # (cos - i sin)(re + i im) = (cos re + sin im) + i (cos im - sin re)
     block = np.empty((dim, 2, coarse, fine))
     np.matmul(rotations, weighted[:, 0:2], out=block[:, 0])
     np.matmul(rotations, weighted[:, 1:3], out=block[:, 1])
-    stacked = (vectors[rows] @ block.reshape(dim, -1)).reshape(-1, 2, coarse * fine)
+    stacked = (vectors @ block.reshape(dim, -1)).reshape(dim, 2, coarse * fine)
     return stacked[:, 0, :steps], stacked[:, 1, :steps]
+
+
+def _end_amplitudes(eigenvalues: np.ndarray, weights: np.ndarray, dt: float, steps: int):
+    """A(t_m) = sum_j weights_j exp(-i lambda_j t_m) on the grid t_m = m dt, m < steps.
+
+    The coarse and fine tables of `_phase_tables` give A on the (coarse,
+    fine) grid as one complex (coarse, dim) @ (dim, fine) product, with the
+    weights folded into the fine table.
+    """
+    (coarse_cos, coarse_sin), (cos, sin) = _phase_tables(eigenvalues, dt, steps)
+    coarse_phases = coarse_cos.T - 1j * coarse_sin.T
+    fine_phases = (cos - 1j * sin) * weights[:, None]
+    return (coarse_phases @ fine_phases).ravel()[:steps]
 
 
 def _rotation_populations(N: int, angles: np.ndarray) -> np.ndarray:
@@ -228,10 +256,11 @@ def run(config: SimulationConfig) -> ObservableSeries:
 
     Each sample is evolved independently from t = 0: spectrally for the
     exact model, as the closed-form Binomial(N, sin^2(g sqrt(n) t)) rung
-    populations for large_n.  The exact model propagates only the rungs
-    the recorded observables read: fidelity reads rung N alone, every
-    other observable reads every rung.  Past the coupling window t_off nothing acts in the
-    rotating frame, so every observable is frozen at its t_off value.
+    populations for large_n.  An exact run that records fidelity alone
+    reads rung N only and takes it from the eigenvalues and end weights;
+    every other exact run propagates every rung.  Past the coupling
+    window t_off nothing acts in the rotating frame, so every observable
+    is frozen at its t_off value.
     """
     basis = config.basis
     times = np.linspace(0.0, config.t_max, config.steps)
@@ -243,9 +272,10 @@ def run(config: SimulationConfig) -> ObservableSeries:
     pending = wanted - data.keys()
     if not pending:
         return ObservableSeries(times=times, data=data)
-    # rung N, when it is read, is the top rung of the ladder
-    rows = slice(-1, None) if pending == {"fidelity"} else slice(None)
-    populations = _rung_populations(config, times, rows)
+    if pending == {"fidelity"} and config.model == "exact":
+        data["fidelity"] = _end_to_end_fidelity(config, times)
+        return ObservableSeries(times=times, data=data)
+    populations = _rung_populations(config, times)
 
     if "fidelity" in pending:
         data["fidelity"] = populations[-1]
@@ -270,24 +300,44 @@ def run(config: SimulationConfig) -> ObservableSeries:
     return ObservableSeries(times=times, data=data)
 
 
-def _rung_populations(config: SimulationConfig, times: np.ndarray, rows) -> np.ndarray:
-    """(rungs `rows`, samples) populations, frozen at the t_off state past t_off."""
+def _rung_populations(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
+    """(rungs, samples) populations, frozen at the t_off state past t_off."""
     basis = config.basis
     t_off = config.params.t_off
     if config.model == "large_n":
         angles = config.params.g * math.sqrt(basis.n) * np.minimum(times, t_off)
-        return _rotation_populations(basis.N, angles)[rows]
+        return _rotation_populations(basis.N, angles)
     eigensystem = eigendecompose(sector_operator(basis, config.params, config.model))
     psi0 = initial_state(basis).amplitudes
     live = int(np.count_nonzero(times < t_off))
     # linspace samples are m * times[1], the last one up to rounding
-    real, imag = _propagate(eigensystem, psi0, times[1], live, rows)
-    populations = np.empty((real.shape[0], times.size))
+    real, imag = _propagate(eigensystem, psi0, times[1], live)
+    populations = np.empty((basis.dimension, times.size))
     head = populations[:, :live]
     np.square(real, out=head)
     head += np.square(imag, out=imag)
     if live < times.size:
         # column 1 of the two-sample grid {0, t_off}
-        real, imag = _propagate(eigensystem, psi0, t_off, 2, rows)
+        real, imag = _propagate(eigensystem, psi0, t_off, 2)
         populations[:, live:] = real[:, 1:] ** 2 + imag[:, 1:] ** 2
     return populations
+
+
+def _end_to_end_fidelity(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
+    """|<N| U(t) |0>|^2 of the exact model from its eigenvalues and end weights.
+
+    With n >= N rung N is the top rung of the ladder, so the amplitude is
+    sum_j c_j exp(-i lambda_j t) with c_j = v_0j v_Nj from
+    `spectral_measure`; no eigenvector is formed.  Frozen at its t_off
+    value past t_off.
+    """
+    t_off = config.params.t_off
+    values, weights = spectral_measure(sector_operator(config.basis, config.params, config.model))
+    live = int(np.count_nonzero(times < t_off))
+    amplitudes = np.empty(times.size, dtype=complex)
+    # linspace samples are m * times[1], the last one up to rounding
+    amplitudes[:live] = _end_amplitudes(values, weights, times[1], live)
+    if live < times.size:
+        # sample 1 of the two-sample grid {0, t_off}
+        amplitudes[live:] = _end_amplitudes(values, weights, t_off, 2)[1]
+    return amplitudes.real**2 + amplitudes.imag**2

@@ -1,7 +1,9 @@
 """Spectra of the charging operators.
 
 Numerical route: LAPACK's implicit-shift solver for real symmetric
-tridiagonal matrices.  Analytic route, valid for the large-photon
+tridiagonal matrices, either for the full eigensystem or, through
+`spectral_measure`, for the eigenvalues and the end-to-end weights
+v_0j v_{D-1,j} alone.  Analytic route, valid for the large-photon
 operator: the equally spaced ladder spectrum g*sqrt(n)*(N - 2k) and
 eigenvectors built from a binomial-weighted family of polynomials
 
@@ -29,15 +31,25 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .operators import TridiagonalOperator
 
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
+# smallest eigenvalue gap over spectral radius that spectral_measure accepts.
+# An eigenvalue carries an absolute error of a few eps times the radius, so a
+# factor lambda_j - lambda_i of the weight product is good to about
+# eps / ratio: 2e-10 at the bound.  Every physical ladder up to N = n = 10^4
+# sits at 6.2e-5 or more.
+MIN_RELATIVE_GAP = 1e-6
+# rows of the (rows, dim) difference block formed at a time
+MEASURE_CHUNK = 128
 
 
 class EigenSolverError(RuntimeError):
-    """The tridiagonal eigensolver exhausted its sweep budget."""
+    """The tridiagonal eigensolver failed to converge, or its eigenvalues
+    lie too close together for the end weights to be formed."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,63 @@ def eigendecompose(operator: TridiagonalOperator) -> EigenSystem:
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverError(f"tridiagonal eigensolver did not converge: {exc}") from exc
     return EigenSystem(eigenvalues=values, eigenvectors=vectors)
+
+
+def spectral_measure(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and end weights c_j = v_0j v_{D-1,j}, no eigenvectors.
+
+    For a Jacobi matrix the weights follow from the eigenvalues alone,
+    c_j = prod_k b_k / prod_{i != j} (lambda_j - lambda_i) with b_k the
+    off-diagonals (Golub & Welsch, Math. Comp. 23, 221 (1969); Parlett,
+    The Symmetric Eigenvalue Problem, ch. 7), so <D-1| exp(-i T t) |0> is
+    sum_j c_j exp(-i lambda_j t).  Both products are summed as logs of
+    magnitudes.  Every factor is first divided by the power of two nearest
+    the geometric mean of |b|: the scaling is exact, cancels between the
+    two products and centres the logs on 0, so the sums round like sums of
+    small numbers: at dim 4097, c is within 2.6e-13 of max |c| of an 80-bit
+    evaluation on the same eigenvalues.  For ascending eigenvalues
+    prod_{i != j} has D-1-j negative factors, so the sign of c_j is
+    (-1)^(D-1-j) times the sign of prod b_k.  The differences are formed
+    MEASURE_CHUNK rows at a time, so no (D, D) array exists.  Raises
+    :class:`EigenSolverError` when the smallest gap falls below
+    MIN_RELATIVE_GAP times the spectral radius, where the weights would
+    be rounding noise.
+    """
+    dim = operator.dimension
+    if dim == 1:
+        return operator.diagonal.copy(), np.ones(1)
+    # dsterf, the root-free QR routine behind eigvalsh_tridiagonal, called
+    # without its argument handling: the same eigenvalues bit for bit, 40 us sooner
+    values, info = scipy.linalg.lapack.dsterf(operator.diagonal, operator.offdiagonal)
+    if info:
+        raise EigenSolverError(f"tridiagonal eigensolver did not converge: dsterf info {info}")
+    sign = float(np.prod(np.sign(operator.offdiagonal)))
+    if sign == 0.0:
+        # a zero coupling cuts the ladder: no path joins its two ends
+        return values, np.zeros(dim)
+    radius = max(-values[0], values[-1])
+    gap = float(np.min(np.diff(values))) / radius
+    if gap < MIN_RELATIVE_GAP:
+        raise EigenSolverError(
+            f"eigenvalue gap {gap:.3e} of the spectral radius is below {MIN_RELATIVE_GAP:.0e}: "
+            "the end weights would be rounding noise"
+        )
+    magnitudes = np.abs(operator.offdiagonal)
+    scale = 2.0 ** -round(float(np.mean(np.log2(magnitudes))))
+    scaled = values * scale
+    log_weights = np.full(dim, np.sum(np.log(magnitudes * scale)))
+    block = np.empty((min(MEASURE_CHUNK, dim), dim))
+    for start in range(0, dim, MEASURE_CHUNK):
+        rows = scaled[start : start + MEASURE_CHUNK]
+        differences = np.subtract(rows[:, None], scaled, out=block[: rows.size])
+        # the i = j factor is left out of the product: log 1 = 0
+        differences.ravel()[start :: dim + 1] = 1.0
+        np.abs(differences, out=differences)
+        log_weights[start : start + rows.size] -= np.sum(np.log(differences, out=differences), axis=1)
+    weights = np.exp(log_weights)
+    weights *= sign
+    weights[dim - 2 :: -2] *= -1.0
+    return values, weights
 
 
 def analytic_eigenvalues(N: int, g: float, n: int) -> np.ndarray:

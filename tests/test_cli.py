@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -225,12 +226,28 @@ def test_bad_physics_flags_are_usage_errors(capsys, monkeypatch, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "compare", "sweep"])
+def test_help_describes_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as stopped:
+        cli.main([command, "--help"])
+    assert stopped.value.code == 0
+    # argparse wraps long help lines, so compare with all whitespace removed
+    shown = "".join(capsys.readouterr().out.split())
+    subparsers = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for action in subparsers.choices[command]._actions:
+        assert action.help, f"{command} {action.option_strings} has no help text"
+        assert "".join(action.help.split()) in shown
+
+
 def test_verify_passes_end_to_end(capsys):
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[-1] == "all 8 checks passed"
-    assert sum(1 for line in lines if line.endswith("PASS")) == 8
+    assert lines[-1] == "all 9 checks passed"
+    assert sum(1 for line in lines if line.endswith("PASS")) == 9
     assert not any("FAIL" in line for line in lines)
 
 

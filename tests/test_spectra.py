@@ -4,8 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dicke_battery.operators import ModelParams, TridiagonalOperator, large_n_matrix
+import scipy.linalg
+
+from dicke_battery.hilbert import build_sector
+from dicke_battery.operators import ModelParams, TridiagonalOperator, exact_tc_matrix, large_n_matrix
 from dicke_battery.spectra import (
+    EigenSolverError,
     EigenSystem,
     analytic_eigenvalues,
     analytic_eigenvectors,
@@ -14,6 +18,7 @@ from dicke_battery.spectra import (
     eigendecompose,
     pseudo_hermite_family,
     rodrigues_residual,
+    spectral_measure,
 )
 
 
@@ -48,6 +53,47 @@ def test_numeric_matches_dense_reference():
 def test_eigensystem_requires_sorted_values():
     with pytest.raises(ValueError):
         EigenSystem(eigenvalues=np.array([1.0, 0.0]), eigenvectors=np.eye(2))
+
+
+@pytest.mark.parametrize("N, n", [(1, 1), (1, 7), (40, 40), (40, 900), (2000, 2000)])
+def test_end_weights_match_eigenvector_ends(N, n):
+    operator = exact_tc_matrix(build_sector(N, n), ModelParams(g=0.8))
+    values, weights = spectral_measure(operator)
+    eig = eigendecompose(operator)
+    reference = eig.eigenvectors[0] * eig.eigenvectors[-1]
+    # bit for bit the eigenvalues of scipy's public eigenvalue-only solver
+    np.testing.assert_array_equal(
+        values, scipy.linalg.eigvalsh_tridiagonal(operator.diagonal, operator.offdiagonal)
+    )
+    np.testing.assert_allclose(values, eig.eigenvalues, rtol=0, atol=1e-13 * np.max(np.abs(values)))
+    scale = np.max(np.abs(reference))
+    np.testing.assert_allclose(weights, reference, rtol=0, atol=1e-12 * scale)
+    # sum_j v_0j v_Nj = <0|N> = 0, to the rounding of a dim-term sum
+    assert abs(weights.sum()) < operator.dimension * np.finfo(float).eps * np.abs(weights).sum()
+
+
+def test_end_weights_carry_signs_of_a_general_jacobi_matrix():
+    rng = np.random.default_rng(3)
+    operator = TridiagonalOperator(diagonal=rng.normal(size=12), offdiagonal=rng.normal(size=11))
+    assert np.any(operator.offdiagonal < 0)
+    _, weights = spectral_measure(operator)
+    eig = eigendecompose(operator)
+    np.testing.assert_allclose(weights, eig.eigenvectors[0] * eig.eigenvectors[-1], atol=1e-14)
+
+
+def test_end_weights_of_trivial_and_cut_ladders():
+    values, weights = spectral_measure(TridiagonalOperator(np.array([0.3]), np.zeros(0)))
+    np.testing.assert_array_equal(values, [0.3])
+    np.testing.assert_array_equal(weights, [1.0])
+    _, weights = spectral_measure(TridiagonalOperator(np.arange(3.0), np.array([1.0, 0.0])))
+    np.testing.assert_array_equal(weights, 0.0)
+
+
+def test_end_weights_refuse_a_near_degenerate_spectrum():
+    # Wilkinson's W21+: its top eigenvalue pairs agree to about 1e-14 of the radius
+    wilkinson = TridiagonalOperator(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
+    with pytest.raises(EigenSolverError, match="gap"):
+        spectral_measure(wilkinson)
 
 
 def test_ladder_spectrum_three_spins():
