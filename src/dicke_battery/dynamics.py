@@ -28,6 +28,7 @@ into the fine table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -141,21 +142,24 @@ def evolve(state: SectorState, eigensystem: EigenSystem, t: float) -> SectorStat
 
 
 def _phase_tables(eigenvalues: np.ndarray, dt: float, steps: int):
-    """cos and sin of the coarse and fine phase tables of the grid t_m = m dt, m < steps.
+    """Coarse and fine phase tables of the grid t_m = m dt, m < steps.
 
     With B = ceil(sqrt(steps)) and m = a B + b,
     exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt), so only
     the coarse angles lambda a B dt and the fine angles lambda b dt, about
     2 sqrt(steps) per eigenvalue, go through cos and sin.  Returns the
-    (cos, sin) pairs of the (dim, coarse) and (dim, B) angle tables.
+    (dim, coarse, 2) table of (cos, sin) pairs of the coarse angles and
+    the cos and sin of the (dim, B) fine angles.
     """
     fine = math.isqrt(steps - 1) + 1
     coarse = -(-steps // fine)
-    tables = []
-    for stride, count in ((fine, coarse), (1, fine)):
-        angles = np.outer(eigenvalues, np.arange(0, count * stride, stride) * dt)
-        tables.append((np.cos(angles), np.sin(angles)))
-    return tables
+    angles = np.outer(eigenvalues, np.arange(fine) * dt)
+    cos, sin = np.cos(angles), np.sin(angles)
+    angles = np.outer(eigenvalues, np.arange(0, coarse * fine, fine) * dt)
+    rotations = np.empty((eigenvalues.size, coarse, 2))
+    np.cos(angles, out=rotations[..., 0])
+    np.sin(angles, out=rotations[..., 1])
+    return rotations, cos, sin
 
 
 def _propagate(eigensystem: EigenSystem, amplitudes: np.ndarray, dt: float, steps: int):
@@ -172,8 +176,8 @@ def _propagate(eigensystem: EigenSystem, amplitudes: np.ndarray, dt: float, step
     """
     vectors = eigensystem.eigenvectors
     dim = vectors.shape[0]
-    (coarse_cos, coarse_sin), (cos, sin) = _phase_tables(eigensystem.eigenvalues, dt, steps)
-    coarse, fine = coarse_cos.shape[1], cos.shape[1]
+    rotations, cos, sin = _phase_tables(eigensystem.eigenvalues, dt, steps)
+    coarse, fine = rotations.shape[1], cos.shape[1]
     w_re = (vectors.T @ amplitudes.real)[:, None]
     w_im = (vectors.T @ amplitudes.imag)[:, None]
     # exp(-i b) (w_re + i w_im) = (cos w_re + sin w_im) + i (cos w_im - sin w_re);
@@ -182,7 +186,6 @@ def _propagate(eigensystem: EigenSystem, amplitudes: np.ndarray, dt: float, step
     weighted[:, 0] = cos * w_re + sin * w_im
     weighted[:, 1] = cos * w_im - sin * w_re
     np.negative(weighted[:, 0], out=weighted[:, 2])
-    rotations = np.stack((coarse_cos, coarse_sin), axis=-1)
     # (cos - i sin)(re + i im) = (cos re + sin im) + i (cos im - sin re)
     block = np.empty((dim, 2, coarse, fine))
     np.matmul(rotations, weighted[:, 0:2], out=block[:, 0])
@@ -196,12 +199,38 @@ def _end_amplitudes(eigenvalues: np.ndarray, weights: np.ndarray, dt: float, ste
 
     The coarse and fine tables of `_phase_tables` give A on the (coarse,
     fine) grid as one complex (coarse, dim) @ (dim, fine) product, with the
-    weights folded into the fine table.
+    weights folded into the fine table.  The (cos, sin) pairs of the coarse
+    table are laid out as complex cos + i sin, so its complex table is that
+    memory conjugated in place; the fine one replaces its real pair.
     """
-    (coarse_cos, coarse_sin), (cos, sin) = _phase_tables(eigenvalues, dt, steps)
-    coarse_phases = coarse_cos.T - 1j * coarse_sin.T
-    fine_phases = (cos - 1j * sin) * weights[:, None]
-    return (coarse_phases @ fine_phases).ravel()[:steps]
+    rotations, cos, sin = _phase_tables(eigenvalues, dt, steps)
+    coarse_phases = rotations.view(complex)[..., 0]
+    np.conjugate(coarse_phases, out=coarse_phases)
+    fine_phases = np.empty(cos.shape, dtype=complex)
+    np.multiply(cos, weights[:, None], out=fine_phases.real)
+    del cos
+    np.multiply(sin, -weights[:, None], out=fine_phases.imag)
+    del sin
+    return (coarse_phases.T @ fine_phases).ravel()[:steps]
+
+
+def _held_past_t_off(times: np.ndarray, t_off: float, sample) -> np.ndarray:
+    """`sample` on `times`, held at its t_off value from t_off on.
+
+    sample(dt, count) gives its values on the grid m dt, m < count, along
+    the last axis.  Past the coupling window nothing acts in the rotating
+    frame, so every later sample repeats the one at t_off.
+    """
+    live = int(np.count_nonzero(times < t_off))
+    # linspace samples are m * times[1], the last one up to rounding
+    head = sample(times[1], live)
+    if live == times.size:
+        return head
+    held = np.empty(head.shape[:-1] + times.shape, dtype=head.dtype)
+    held[..., :live] = head
+    # sample 1 of the two-sample grid {0, t_off}
+    held[..., live:] = sample(t_off, 2)[..., 1:]
+    return held
 
 
 def _rotation_populations(N: int, angles: np.ndarray) -> np.ndarray:
@@ -309,18 +338,14 @@ def _rung_populations(config: SimulationConfig, times: np.ndarray) -> np.ndarray
         return _rotation_populations(basis.N, angles)
     eigensystem = eigendecompose(sector_operator(basis, config.params, config.model))
     psi0 = initial_state(basis).amplitudes
-    live = int(np.count_nonzero(times < t_off))
-    # linspace samples are m * times[1], the last one up to rounding
-    real, imag = _propagate(eigensystem, psi0, times[1], live)
-    populations = np.empty((basis.dimension, times.size))
-    head = populations[:, :live]
-    np.square(real, out=head)
-    head += np.square(imag, out=imag)
-    if live < times.size:
-        # column 1 of the two-sample grid {0, t_off}
-        real, imag = _propagate(eigensystem, psi0, t_off, 2)
-        populations[:, live:] = real[:, 1:] ** 2 + imag[:, 1:] ** 2
-    return populations
+
+    def populations(dt: float, count: int) -> np.ndarray:
+        real, imag = _propagate(eigensystem, psi0, dt, count)
+        squares = np.square(real)
+        squares += np.square(imag, out=imag)
+        return squares
+
+    return _held_past_t_off(times, t_off, populations)
 
 
 def _end_to_end_fidelity(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
@@ -331,13 +356,8 @@ def _end_to_end_fidelity(config: SimulationConfig, times: np.ndarray) -> np.ndar
     `spectral_measure`; no eigenvector is formed.  Frozen at its t_off
     value past t_off.
     """
-    t_off = config.params.t_off
     values, weights = spectral_measure(sector_operator(config.basis, config.params, config.model))
-    live = int(np.count_nonzero(times < t_off))
-    amplitudes = np.empty(times.size, dtype=complex)
-    # linspace samples are m * times[1], the last one up to rounding
-    amplitudes[:live] = _end_amplitudes(values, weights, times[1], live)
-    if live < times.size:
-        # sample 1 of the two-sample grid {0, t_off}
-        amplitudes[live:] = _end_amplitudes(values, weights, t_off, 2)[1]
+    amplitudes = _held_past_t_off(
+        times, config.params.t_off, functools.partial(_end_amplitudes, values, weights)
+    )
     return amplitudes.real**2 + amplitudes.imag**2

@@ -316,6 +316,10 @@ def test_fidelity_only_run_matches_full_run(model, N, n, t_off):
     )
     assert alone.recorded == ("fidelity",)
     assert full["fidelity"].max() > 0.1
+    if model == "large_n":
+        # both read the top row of the same closed-form population matrix
+        np.testing.assert_array_equal(alone["fidelity"], full["fidelity"])
+        return
     # the exact routes are independent: eigenvalues and end weights against
     # eigenvectors.  Each amplitude is a dim-term sum with sum_j |c_j| <= 1,
     # so each is good to dim eps and F = |A|^2 to 2 dim eps; two routes, 4 dim eps
