@@ -12,14 +12,10 @@ from .analysis import (
     FlipDetectionError,
     FlipSummary,
     ProtocolReport,
-    QslReport,
     compare_protocols,
     detect_flip_time,
-    effective_coupling_equivalence,
     flip_summary,
-    qsl_report,
     universal_flip_time,
-    verify_algebraic_identity,
 )
 from .dynamics import (
     OBSERVABLE_NAMES,
@@ -32,7 +28,6 @@ from .dynamics import (
 from .hilbert import SectorBasis, SectorState, build_sector, initial_state, target_state
 from .observables import (
     SpinMoments,
-    energy_variance,
     pairwise_concurrence,
     single_spin_density,
     spin_moments,

@@ -265,8 +265,8 @@ def sector_operator(basis: SectorBasis, params: ModelParams, model: str) -> Trid
     """Charging operator for the requested model on the given sector.
 
     `run` propagates only the exact one; the large_n operator serves the
-    spectrum report, the speed-limit report and `verify`, and is the
-    independent reference for the closed-form rotation in `run`.
+    spectrum report and `verify`, and is the independent reference for the
+    closed-form rotation in `run`.
     """
     if model == "exact":
         return exact_tc_matrix(basis, params)

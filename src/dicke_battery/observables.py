@@ -14,13 +14,11 @@ Basis conventions: single spin (|down>, |up>); spin pair
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .hilbert import SectorState
-from .operators import TridiagonalOperator
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -127,15 +125,3 @@ def pairwise_concurrence(density: np.ndarray) -> float:
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
-
-def energy_variance(state: SectorState, operator: TridiagonalOperator) -> float:
-    """Standard deviation sqrt(<T^2> - <T>^2) of a tridiagonal observable."""
-    if operator.dimension != state.basis.dimension:
-        raise ValueError(
-            f"dimension mismatch: operator {operator.dimension}, "
-            f"state {state.basis.dimension}"
-        )
-    applied = operator.matvec(state.amplitudes)
-    first = float(np.vdot(state.amplitudes, applied).real)
-    second = float(np.vdot(applied, applied).real)
-    return math.sqrt(max(second - first * first, 0.0))

@@ -10,11 +10,8 @@ from dicke_battery.analysis import (
     ProtocolReport,
     compare_protocols,
     detect_flip_time,
-    effective_coupling_equivalence,
     flip_summary,
-    qsl_report,
     universal_flip_time,
-    verify_algebraic_identity,
 )
 from dicke_battery.dynamics import ObservableSeries, SimulationConfig, run
 from dicke_battery.operators import ModelParams
@@ -184,18 +181,6 @@ def test_flip_measurements_need_a_detected_flip(monkeypatch):
     monkeypatch.setattr(analysis, "flip_summary", partial)
     with pytest.raises(FlipDetectionError, match="partial"):
         compare_protocols(2, 10)
-    with pytest.raises(FlipDetectionError, match="partial"):
-        effective_coupling_equivalence(2, 10)
-
-
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 12, 40, 51, 120, 200])
-def test_algebraic_identity_collapses_to_sign(N):
-    assert verify_algebraic_identity(N) == pytest.approx((-1.0) ** (N // 2), abs=1e-12)
-
-
-def test_algebraic_identity_validation():
-    with pytest.raises(ValueError):
-        verify_algebraic_identity(0)
 
 
 def test_compare_protocols_closed_forms():
@@ -230,33 +215,3 @@ def test_compare_protocols_validation():
     with pytest.raises(ValueError):
         compare_protocols(2, 5, omega_a=0.0)
 
-
-def test_qsl_report_values():
-    report = qsl_report(4, 100, g=1.0)
-    assert report.qsl_parallel == pytest.approx(math.pi / 160)
-    assert report.qsl_collective == pytest.approx(math.pi / 320)
-    assert report.qsl_ratio == pytest.approx(1 / math.sqrt(4), rel=1e-12)
-    # DeltaH = g sqrt(N n_collective) with n_collective = N n = 400
-    assert report.variance_based == pytest.approx(math.pi / 80, rel=1e-10)
-
-
-def test_qsl_ratio_is_inverse_sqrt_N():
-    for N in (2, 5, 9):
-        assert qsl_report(N, 36).qsl_ratio == pytest.approx(1 / math.sqrt(N), rel=1e-12)
-
-
-def test_qsl_report_validation():
-    with pytest.raises(ValueError):
-        qsl_report(2, 0)
-
-
-def test_effective_coupling_equivalence_large_n_is_exact():
-    assert effective_coupling_equivalence(9, 100, model="large_n") < 1e-9
-
-
-def test_effective_coupling_equivalence_exact_model_is_close():
-    assert effective_coupling_equivalence(4, 2500, model="exact") < 1e-3
-
-
-def test_effective_coupling_equivalence_trivial_for_one_spin():
-    assert effective_coupling_equivalence(1, 50, model="large_n") == 0.0

@@ -6,7 +6,6 @@ import pytest
 from dicke_battery.dynamics import evolve
 from dicke_battery.hilbert import SectorState, build_sector, initial_state, target_state
 from dicke_battery.observables import (
-    energy_variance,
     pairwise_concurrence,
     single_spin_density,
     spin_moments,
@@ -177,27 +176,3 @@ def test_cos_theta_mid_flip():
     halfway = evolve(initial_state(basis), eig, math.pi / (4 * math.sqrt(100)))
     assert cos_theta(halfway) == pytest.approx(0.0, abs=1e-10)
 
-
-def test_energy_variance_of_eigenvector_is_zero():
-    T = large_n_matrix(3, ModelParams(), 9)
-    eig = eigendecompose(T)
-    basis = build_sector(3, 9)
-    for j in range(4):
-        state = SectorState(basis, eig.eigenvectors[:, j].astype(complex))
-        # square root amplifies rounding in <T^2> - <T>^2, hence the loose bound
-        assert energy_variance(state, T) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_energy_variance_of_discharged_state():
-    # <T> = 0 and <T^2> = (g sqrt(n) b_1)^2 gives exactly g sqrt(n N)
-    for N, n, g in ((1, 4, 1.0), (4, 100, 1.0), (9, 50, 0.5)):
-        basis = build_sector(N, n)
-        T = large_n_matrix(N, ModelParams(g=g), n)
-        assert energy_variance(initial_state(basis), T) == pytest.approx(
-            g * math.sqrt(n * N), rel=1e-12
-        )
-
-
-def test_energy_variance_dimension_check():
-    with pytest.raises(ValueError):
-        energy_variance(initial_state(build_sector(2, 5)), large_n_matrix(4, ModelParams(), 5))
