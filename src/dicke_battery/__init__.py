@@ -43,13 +43,10 @@ from .operators import (
 from .spectra import (
     EigenSolverError,
     EigenSystem,
-    PseudoHermiteFamily,
     analytic_eigenvalues,
     analytic_eigenvectors,
-    binomial_weighted_inner,
     eigendecompose,
     pseudo_hermite_family,
-    rodrigues_residual,
 )
 
 __version__ = "0.1.0"

@@ -97,9 +97,6 @@ class SectorState:
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def build_sector(N: int, n: int) -> SectorBasis:
     """Sector holding N spins-down plus n photons and everything reachable."""

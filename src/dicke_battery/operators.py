@@ -71,16 +71,6 @@ class TridiagonalOperator:
     def dimension(self) -> int:
         return self.diagonal.size
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec)
-        if vec.shape != (self.dimension,):
-            raise ValueError(f"vector has shape {vec.shape}, expected ({self.dimension},)")
-        out = self.diagonal * vec
-        if self.offdiagonal.size:
-            out[:-1] = out[:-1] + self.offdiagonal * vec[1:]
-            out[1:] = out[1:] + self.offdiagonal * vec[:-1]
-        return out
-
     def to_dense(self) -> np.ndarray:
         dense = np.diag(self.diagonal)
         if self.offdiagonal.size:

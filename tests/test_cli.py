@@ -229,6 +229,33 @@ def test_bad_physics_flags_are_usage_errors(capsys, monkeypatch, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--spins", "2", "--photons", "4", "--t-max", "1", "--out", ""],
+    ["spectrum", "--spins", "2", "--photons", "4", "--out", ""],
+    ["compare", "--spins", "2", "--photons", "4", "--out", ""],
+    ["sweep", "--spins", "2", "--photons", "4", "--out", ""],
+    ["simulate", "--config", "{config}"],
+])
+def test_empty_output_path_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # an empty path names no file; it is refused before anything runs
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli.analysis, "run", not_reached)
+    monkeypatch.setattr(cli.dynamics, "run", not_reached)
+    monkeypatch.setattr(cli.spectra, "eigendecompose", not_reached)
+    config = tmp_path / "run.cfg"
+    config.write_text("spins = 2\nphotons = 4\nt_max = 1.0\nout =\n")
+    try:
+        code = cli.main([item.format(config=config) for item in argv])
+    except SystemExit as stopped:  # argparse refuses a bad flag value itself
+        code = stopped.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "out" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "compare", "sweep"])
 def test_help_describes_every_flag(capsys, command):
     with pytest.raises(SystemExit) as stopped:
@@ -246,7 +273,7 @@ def test_help_describes_every_flag(capsys, command):
 
 
 def test_verify_passes_end_to_end(capsys):
-    checks = 8
+    checks = 6
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 0
     lines = out.strip().split("\n")
@@ -256,17 +283,32 @@ def test_verify_passes_end_to_end(capsys):
 
 
 def test_verify_reports_corruption(capsys, monkeypatch):
-    # poison one analytic route; the battery must notice and exit non-zero
+    # poison one analytic route at a time; the battery must notice and exit non-zero
     true_values = cli.spectra.analytic_eigenvalues
 
     def skewed(N, g, n):
         return true_values(N, g, n) * 1.001
 
-    monkeypatch.setattr(cli.spectra, "analytic_eigenvalues", skewed)
-    code, out, _ = run_cli(capsys, ["verify"])
-    assert code == 1
-    assert "FAIL" in out
-    assert "checks failed" in out.strip().split("\n")[-1]
+    def off_by_one(N):
+        # the three-term recursion with its k = 3 coefficient one too large
+        table = [[1] * (N + 1), [N - 2 * xi for xi in range(N + 1)]]
+        for k in range(2, N + 1):
+            coefficient = (k - 1) * (N - k + 2) + (k == 3)
+            table.append([(N - 2 * xi) * table[k - 1][xi] - coefficient * table[k - 2][xi]
+                          for xi in range(N + 1)])
+        return table[: N + 1]
+
+    for name, poison, caught_by in (
+        ("analytic_eigenvalues", skewed, "ladder eigenvalues"),
+        ("pseudo_hermite_family", off_by_one, "analytic eigenvectors"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.spectra, name, poison)
+            code, out, _ = run_cli(capsys, ["verify"])
+        assert code == 1
+        failed = [line for line in out.split("\n") if line.endswith("FAIL")]
+        assert any(line.startswith(caught_by) for line in failed)
+        assert "checks failed" in out.strip().split("\n")[-1]
 
 
 def test_sweep_grid_csv(tmp_path, capsys):

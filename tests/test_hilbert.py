@@ -75,7 +75,7 @@ def test_initial_state_is_discharged():
     basis = build_sector(3, 100)
     state = initial_state(basis)
     np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
-    assert state.norm() == 1.0
+    assert np.linalg.norm(state.amplitudes) == 1.0
 
 
 def test_target_state_is_fully_charged():

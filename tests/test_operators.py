@@ -159,10 +159,3 @@ def test_tridiagonal_operator_validation():
         TridiagonalOperator(diagonal=np.zeros(3), offdiagonal=np.zeros(3))
     with pytest.raises(ValueError):
         TridiagonalOperator(diagonal=np.zeros((2, 2)), offdiagonal=np.zeros(1))
-
-
-def test_tridiagonal_matvec_matches_dense():
-    rng = np.random.default_rng(42)
-    T = TridiagonalOperator(diagonal=rng.normal(size=6), offdiagonal=rng.normal(size=5))
-    vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-    np.testing.assert_allclose(T.matvec(vec), T.to_dense() @ vec, atol=1e-14)

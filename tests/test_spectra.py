@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,19 +12,10 @@ from dicke_battery.spectra import (
     EigenSystem,
     analytic_eigenvalues,
     analytic_eigenvectors,
-    binomial_weighted_inner,
-    _scaled_recursion_coefficients,
     eigendecompose,
     pseudo_hermite_family,
-    rodrigues_residual,
     spectral_measure,
 )
-
-
-def scaled_value(N, k, x):
-    """Rescaled P_k at rational x, from its exact integer coefficients."""
-    x = Fraction(x)
-    return sum(c * x**power for power, c in enumerate(_scaled_recursion_coefficients(N, k)))
 
 
 def test_two_level_crossing():
@@ -113,17 +103,12 @@ def test_ladder_spectrum_matches_numeric(N):
 
 
 def test_polynomials_low_orders():
-    assert pseudo_hermite_family(5).values[0][3] == 1
-    assert pseudo_hermite_family(3).values[1][1] == 1
-    assert pseudo_hermite_family(2).values[2][1] == -2
+    assert pseudo_hermite_family(5)[0][3] == 1
+    assert pseudo_hermite_family(3)[1][1] == 1
+    assert pseudo_hermite_family(2)[2][1] == -2
 
 
 def test_polynomials_reject_out_of_range():
-    family = pseudo_hermite_family(3)
-    with pytest.raises(ValueError):
-        binomial_weighted_inner(family, 4, 0)
-    with pytest.raises(ValueError):
-        binomial_weighted_inner(family, 0, -1)
     with pytest.raises(ValueError):
         pseudo_hermite_family(0)
 
@@ -138,40 +123,18 @@ def test_polynomial_family_table_matches_pointwise():
             previous, current = current, (N - 2 * xi) * current - (j - 1) * (N - j + 2) * previous
         return current
 
-    family = pseudo_hermite_family(6)
+    table = pseudo_hermite_family(6)
     for k in range(7):
         for xi in range(7):
-            assert family.values[k][xi] == pointwise(6, k, xi)
+            assert table[k][xi] == pointwise(6, k, xi)
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 12, 25])
 def test_polynomial_parity(N):
-    family = pseudo_hermite_family(N)
+    table = pseudo_hermite_family(N)
     for k in range(N + 1):
         for xi in range(N + 1):
-            assert family.values[k][N - xi] == (-1) ** k * family.values[k][xi]
-
-
-def test_scaled_polynomials_low_orders():
-    assert scaled_value(4, 1, Fraction(1, 2)) == 2
-    assert scaled_value(3, 0, -1) == 1
-    assert scaled_value(2, 2, 0) == -2
-
-
-def test_scaled_polynomials_match_unscaled_through_order_two():
-    for N in (1, 2, 3, 8, 13):
-        family = pseudo_hermite_family(N)
-        for k in range(min(2, N) + 1):
-            for xi in range(N + 1):
-                x = Fraction(N - 2 * xi, N)
-                assert scaled_value(N, k, x) == family.values[k][xi]
-
-
-def test_scaled_polynomial_coefficients_are_exact_integers():
-    # N^3 x^3 - 3 N^2 x for N = 7, k = 3
-    coefficients = _scaled_recursion_coefficients(7, 3)
-    assert coefficients == [0, -3 * 7**2, 0, 7**3]
-    assert all(type(c) is int for c in coefficients)
+            assert table[k][N - xi] == (-1) ** k * table[k][xi]
 
 
 def test_eigenvector_matrix_single_spin():
@@ -200,18 +163,6 @@ def test_eigenvectors_diagonalize_ladder_operator(N):
     assert np.max(np.abs(residual)) < 1e-10 * g * math.sqrt(n) * N
 
 
-@pytest.mark.parametrize("N", [1, 2, 7, 19, 30])
-def test_binomial_weighted_orthogonality_is_exact(N):
-    family = pseudo_hermite_family(N)
-    for j in range(N + 1):
-        for k in range(j + 1):
-            inner = binomial_weighted_inner(family, j, k)
-            if j == k:
-                assert inner == 2**N * math.factorial(k) ** 2 * math.comb(N, k)
-            else:
-                assert inner == 0
-
-
 def test_numeric_and_analytic_eigenvectors_agree_up_to_sign():
     N, g, n = 14, 1.0, 1
     eig = eigendecompose(large_n_matrix(N, ModelParams(g=g), n))
@@ -228,37 +179,3 @@ def test_recursion_coefficient_is_squared_coupling():
         b = large_n_matrix(N, ModelParams(), 1).offdiagonal
         for k in range(2, N + 1):
             assert (k - 1) * (N - k + 2) == pytest.approx(b[k - 2] ** 2, rel=1e-12)
-
-
-def test_rodrigues_residual_vanishes():
-    # exact integer residual: 0 means every coefficient cancels
-    assert rodrigues_residual(5, 0) == 0
-    assert rodrigues_residual(3, 1) == 0
-    assert rodrigues_residual(4, 2) == 0
-    assert type(rodrigues_residual(4, 2)) is int
-
-
-def test_rodrigues_residual_all_small_orders():
-    worst = max(rodrigues_residual(N, k) for N in range(1, 11) for k in range(N + 1))
-    assert worst == 0
-
-
-def test_rodrigues_residual_sees_a_wrong_coefficient(monkeypatch):
-    # one coefficient off by one must show up as a residual of exactly 1
-    from dicke_battery import spectra
-
-    true_coefficients = spectra._scaled_recursion_coefficients
-
-    def off_by_one(N, k):
-        coefficients = true_coefficients(N, k)
-        return coefficients[:-1] + [coefficients[-1] + 1]
-
-    monkeypatch.setattr(spectra, "_scaled_recursion_coefficients", off_by_one)
-    assert rodrigues_residual(4, 2) == 1
-
-
-def test_rodrigues_rejects_bad_order():
-    with pytest.raises(ValueError):
-        rodrigues_residual(3, 4)
-    with pytest.raises(ValueError):
-        rodrigues_residual(0, 0)
