@@ -1,27 +1,37 @@
 """Time evolution over a conserved-excitation sector.
 
 The exact model is propagated spectrally: every sample goes directly from
-t = 0 through one application of U(t) = V exp(-i D t) V^T, so there is no
-step-to-step error accumulation and unitarity holds to rounding over
-arbitrarily many samples.  The large_n operator is 2 g sqrt(n) J_x, a
-rigid spin rotation, so its rung populations are the closed-form
-Binomial(N, sin^2(g sqrt(n) t)) and need no eigensolver.  Both routes end
-in the same rung-population matrix, from which every observable follows.
+t = 0 through one application of exp(-i T t), so there is no step-to-step
+error accumulation and unitarity holds to rounding over arbitrarily many
+samples.  The large_n operator is 2 g sqrt(n) J_x, a rigid spin rotation,
+so its rung populations are the closed-form Binomial(N, sin^2(g sqrt(n) t))
+and need no eigensolver.  Both routes end in the same rung-population
+matrix, from which every observable follows.
 
-A run forms only the rows of that matrix its observables read.  Fidelity
-reads rung N alone, and an exact run that records nothing else never
-forms an eigenvector: for the tridiagonal ladder <N| U(t) |0> is
-sum_j c_j exp(-i lambda_j t), and the end weights c_j = v_0j v_Nj follow
-from the eigenvalues (`spectra.spectral_measure`), so such a run solves
-for eigenvalues only and holds O(dim (chunk + sqrt(steps)) + steps)
-numbers.  With n < N fidelity is identically 0 and nothing is solved.
-Every other observable reads every rung.  On the uniform grid t_m = m dt
-the phases factor as
-exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt) with
-m = a B + b and B = ceil(sqrt(steps)), so two tables of about sqrt(steps)
-angles per eigenvalue replace a cos and a sin per sample.  For every rung
-their products are formed in real arithmetic, weighted by V^T psi, in
-the block that goes through V; for the end-to-end amplitude they are one
+A run forms only the rows of that matrix its observables read, and an
+exact run takes one of two routes.  Fidelity reads rung N alone, and an
+exact run that records nothing else never forms an eigenvector: for the
+tridiagonal ladder <N| U(t) |0> is sum_j c_j exp(-i lambda_j t), and the
+end weights c_j = v_0j v_Nj follow from the eigenvalues
+(`spectra.spectral_measure`), so such a run solves for eigenvalues only
+and holds O(dim (chunk + sqrt(steps)) + steps) numbers.  With n < N
+fidelity is identically 0 and nothing is solved.  Every other observable
+reads every rung, and those runs use the ladder's chiral structure: its
+diagonal is zero, so even rungs couple only to odd rungs and
+T = [[0, C], [C^T, 0]] with C a half-size bidiagonal.  From rung 0 the
+even rungs hold U cos(Sigma t) U^T e_0 and the odd rungs
+-i W sin(Sigma t) U^T e_0, with C = U Sigma W^T from
+`spectra.chiral_decompose`, so the populations come from two real
+half-size products and no dim x dim or complex array is formed.
+`_propagate`, V exp(-i D t) V^T psi over the full eigensystem of
+`spectra.eigendecompose`, serves `evolve` and is the independent
+reference for both routes.  On the uniform grid t_m = m dt the phases
+factor as exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt)
+with m = a B + b and B = ceil(sqrt(steps)), so two tables of about
+sqrt(steps) angles per eigenvalue replace a cos and a sin per sample.
+For the rung populations their products are formed in real arithmetic,
+with the weights folded into the fine table, in the blocks that go
+through the eigenvectors; for the end-to-end amplitude they are one
 complex (coarse, dim) @ (dim, fine) product with the weights c_j folded
 into the fine table.
 """
@@ -35,9 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observables
-from .hilbert import SectorBasis, SectorState, build_sector, initial_state
+from .hilbert import SectorBasis, SectorState, build_sector
 from .operators import ModelParams, TridiagonalOperator, exact_tc_matrix, large_n_matrix
-from .spectra import EigenSystem, eigendecompose, spectral_measure
+from .spectra import EigenSystem, chiral_decompose, spectral_measure
 
 MODELS = ("exact", "large_n")
 
@@ -287,7 +297,8 @@ def run(config: SimulationConfig) -> ObservableSeries:
     exact model, as the closed-form Binomial(N, sin^2(g sqrt(n) t)) rung
     populations for large_n.  An exact run that records fidelity alone
     reads rung N only and takes it from the eigenvalues and end weights;
-    every other exact run propagates every rung.  Past the coupling
+    every other exact run propagates every rung through the singular
+    value decomposition of the ladder's even-to-odd block.  Past the coupling
     window t_off nothing acts in the rotating frame, so every observable
     is frozen at its t_off value.
     """
@@ -336,16 +347,44 @@ def _rung_populations(config: SimulationConfig, times: np.ndarray) -> np.ndarray
     if config.model == "large_n":
         angles = config.params.g * math.sqrt(basis.n) * np.minimum(times, t_off)
         return _rotation_populations(basis.N, angles)
-    eigensystem = eigendecompose(sector_operator(basis, config.params, config.model))
-    psi0 = initial_state(basis).amplitudes
+    values, evens, odds = chiral_decompose(sector_operator(basis, config.params, config.model))
+    # an odd ladder pads C with a zero column; its row of W is no rung
+    sample = functools.partial(_chiral_populations, values, evens, odds[: basis.dimension // 2])
+    return _held_past_t_off(times, t_off, sample)
 
-    def populations(dt: float, count: int) -> np.ndarray:
-        real, imag = _propagate(eigensystem, psi0, dt, count)
-        squares = np.square(real)
-        squares += np.square(imag, out=imag)
-        return squares
 
-    return _held_past_t_off(times, t_off, populations)
+def _chiral_populations(
+    values: np.ndarray, evens: np.ndarray, odds: np.ndarray, dt: float, steps: int
+) -> np.ndarray:
+    """|<k| exp(-i T t_m) |0>|^2 for every rung k on the grid t_m = m dt, m < steps.
+
+    From rung 0 the even rungs hold U (a cos(sigma t)) and the odd rungs
+    -i W (a sin(sigma t)), with a = U[0] and C = U Sigma W^T from
+    `chiral_decompose`, so every amplitude is real up to a factor -i and
+    each half goes through one real product with its own half-size
+    factor.  The coarse and fine tables of `_phase_tables` give
+    a cos(x + y) and a sin(x + y) as batched products with the weights a
+    folded into the fine table.  Returns the (rungs, steps) populations,
+    the squares of the two halves interleaved.
+    """
+    half = values.size
+    rotations, cos, sin = _phase_tables(values, dt, steps)
+    coarse, fine = rotations.shape[1], cos.shape[1]
+    weights = evens[0][:, None]
+    # a cos(x + y) = cos x (a cos y) + sin x (-a sin y) and
+    # a sin(x + y) = cos x (a sin y) + sin x (a cos y): rows a sin, a cos, -a sin,
+    # so that both pairs are contiguous
+    folded = np.empty((half, 3, fine))
+    np.multiply(sin, weights, out=folded[:, 0])
+    np.multiply(cos, weights, out=folded[:, 1])
+    np.negative(folded[:, 0], out=folded[:, 2])
+    block = np.empty((half, coarse, fine))
+    populations = np.empty((evens.shape[0] + odds.shape[0], steps))
+    np.matmul(rotations, folded[:, 1:3], out=block)
+    np.square((evens @ block.reshape(half, -1))[:, :steps], out=populations[0::2])
+    np.matmul(rotations, folded[:, 0:2], out=block)
+    np.square((odds @ block.reshape(half, -1))[:, :steps], out=populations[1::2])
+    return populations
 
 
 def _end_to_end_fidelity(config: SimulationConfig, times: np.ndarray) -> np.ndarray:

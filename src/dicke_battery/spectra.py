@@ -1,9 +1,11 @@
 """Spectra of the charging operators.
 
-Numerical route: LAPACK's implicit-shift solver for real symmetric
-tridiagonal matrices, either for the full eigensystem or, through
-`spectral_measure`, for the eigenvalues and the end-to-end weights
-v_0j v_{D-1,j} alone.  Analytic route, valid for the large-photon
+Numerical routes: LAPACK's solvers for real symmetric tridiagonal
+matrices, either for the full eigensystem or, through `spectral_measure`,
+for the eigenvalues and the end-to-end weights v_0j v_{D-1,j} alone; and,
+through `chiral_decompose`, the singular value decomposition of the
+even-to-odd block of a zero-diagonal ladder, half the size of the
+ladder.  Analytic route, valid for the large-photon
 operator: the equally spaced ladder spectrum g*sqrt(n)*(N - 2k) and
 eigenvectors built from a binomial-weighted family of polynomials
 
@@ -16,12 +18,16 @@ floats are not an option).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import mmap
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
 
 from .operators import TridiagonalOperator
@@ -37,8 +43,9 @@ MEASURE_CHUNK = 128
 
 
 class EigenSolverError(RuntimeError):
-    """The tridiagonal eigensolver failed to converge, or its eigenvalues
-    lie too close together for the end weights to be formed."""
+    """The tridiagonal eigensolver or the bidiagonal SVD failed to converge,
+    or the eigenvalues lie too close together for the end weights to be
+    formed."""
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,84 @@ def spectral_measure(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndar
     weights *= sign
     weights[dim - 2 :: -2] *= -1.0
     return values, weights
+
+
+@functools.cache
+def _dbdsdc():
+    """LAPACK dbdsdc from scipy's Cython LAPACK table, as a ctypes function.
+
+    scipy.linalg.lapack does not wrap dbdsdc, but cython_lapack exports
+    its pointer in a capsule.  The capsule is named after the C signature,
+    whose typedef names differ between scipy builds, so the name is read
+    rather than spelled out.  The call releases the interpreter lock.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dbdsdc"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    text, number = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+    real = ctypes.POINTER(ctypes.c_double)
+    # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info
+    prototype = ctypes.CFUNCTYPE(
+        None, text, text, number, real, real, real, number, real, number, real, number,
+        real, number, number,
+    )
+    return prototype(address)
+
+
+def chiral_decompose(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values and vectors of the even-to-odd block of a zero-diagonal ladder.
+
+    With a zero diagonal, even rungs couple only to odd rungs, so on the
+    even and odd rungs the ladder is [[0, C], [C^T, 0]] with C the lower
+    bidiagonal of diagonal b_0, b_2, ... and subdiagonal b_1, b_3, ...
+    Its eigenvalues are +-sigma for the singular values sigma of C, and
+    from an even rung exp(-i T t) acts as U cos(Sigma t) U^T on the even
+    rungs and as -i W sin(Sigma t) U^T into the odd ones, with C = U Sigma W^T.
+    C is ceil(D/2) square: an odd D pads it with a zero column, whose
+    singular value is 0 to rounding and whose row of W belongs to no rung.
+    One call of LAPACK dbdsdc, the divide-and-conquer bidiagonal SVD
+    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79 (1995)), returns
+    sigma in descending order with the orthogonal U and W.  Raises
+    ValueError for a nonzero diagonal, which breaks the even/odd split,
+    and :class:`EigenSolverError` if dbdsdc reports a failure.
+    """
+    if np.any(operator.diagonal):
+        raise ValueError("the chiral decomposition needs a zero diagonal")
+    dim = operator.dimension
+    half = (dim + 1) // 2
+    # dbdsdc overwrites d with sigma and destroys e
+    values = np.zeros(half)
+    values[: dim // 2] = operator.offdiagonal[0::2]
+    sub = np.array(operator.offdiagonal[1::2])
+    # column-major output in row-major buffers: u holds U^T and vt holds W.
+    # They are the largest arrays a run keeps and get an anonymous mapping of
+    # their own: grown into the malloc heap, they leave it to be trimmed after
+    # the run, and the next run faults its arrays back in (about 1700 page
+    # faults for a 1000-rung large_n run after a 3000-rung exact one)
+    mapping = mmap.mmap(-1, 2 * 8 * half * half)
+    u, vt = np.frombuffer(mapping, dtype=float).reshape(2, half, half)
+    work = np.empty(3 * half * half + 4 * half)
+    iwork = np.empty(8 * half, dtype=np.intc)
+    info = ctypes.c_int(0)
+    order = ctypes.pointer(ctypes.c_int(half))
+
+    def real(array):
+        return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+    # q and iq are not referenced when compq = "I"
+    _dbdsdc()(
+        b"L", b"I", order, real(values), real(sub), real(u), order, real(vt), order,
+        ctypes.pointer(ctypes.c_double()), ctypes.pointer(ctypes.c_int()), real(work),
+        iwork.ctypes.data_as(ctypes.POINTER(ctypes.c_int)), ctypes.pointer(info),
+    )
+    if info.value:
+        raise EigenSolverError(f"bidiagonal SVD did not converge: dbdsdc info {info.value}")
+    return values, u.T, vt
 
 
 def analytic_eigenvalues(N: int, g: float, n: int) -> np.ndarray:

@@ -494,6 +494,19 @@ def test_sweep_runtime_error_exits_three(capsys, monkeypatch):
     assert "eigensolver diverged" in err
 
 
+def test_simulate_exits_three_when_the_bidiagonal_svd_fails(capsys, monkeypatch):
+    def failing_dbdsdc(*args):
+        args[-1].contents.value = 4  # info > 0: a singular value did not converge
+
+    monkeypatch.setattr(cli.spectra, "_dbdsdc", lambda: failing_dbdsdc)
+    code, out, err = run_cli(
+        capsys, ["simulate", "--spins", "3", "--photons", "8", "--t-max", "1", "--steps", "5"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "dbdsdc info 4" in err
+
+
 def test_sweep_flag_validation(capsys):
     assert run_cli(capsys, ["sweep", "--spins", "2", "--photons", "4",
                             "--photons-per-spin", "4"])[0] == 2

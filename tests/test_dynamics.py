@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicke_battery import dynamics
+from dicke_battery import dynamics, spectra
 from dicke_battery.analysis import flip_summary, universal_flip_time
 from dicke_battery.dynamics import (
     OBSERVABLE_NAMES,
@@ -245,11 +245,19 @@ def test_large_n_model_run_matches_closed_form():
     np.testing.assert_allclose(series["fidelity"], expected, atol=1e-12)
 
 
-def test_large_n_run_never_calls_the_eigensolver(monkeypatch):
-    def no_eigensolve(operator):
-        raise AssertionError("eigensolver called")
+def _forbid_solvers(monkeypatch, message):
+    """Make both eigenvector solvers raise AssertionError(message) wherever run looks them up."""
 
-    monkeypatch.setattr(dynamics, "eigendecompose", no_eigensolve)
+    def not_called(operator):
+        raise AssertionError(message)
+
+    for module in (dynamics, spectra):
+        for name in ("eigendecompose", "chiral_decompose"):
+            monkeypatch.setattr(module, name, not_called, raising=False)
+
+
+def test_large_n_run_never_calls_the_eigensolver(monkeypatch):
+    _forbid_solvers(monkeypatch, "eigensolver called")
     config = SimulationConfig(N=40, n=400, params=ModelParams(), t_max=0.2, steps=11, model="large_n")
     assert run(config).recorded == OBSERVABLE_NAMES
     with pytest.raises(AssertionError, match="eigensolver"):
@@ -330,10 +338,7 @@ def test_fidelity_only_run_matches_full_run(model, N, n, t_off):
 
 
 def _no_eigenvectors(monkeypatch):
-    def no_eigensolve(operator):
-        raise AssertionError("eigenvector solve called")
-
-    monkeypatch.setattr(dynamics, "eigendecompose", no_eigensolve)
+    _forbid_solvers(monkeypatch, "eigenvector solve called")
 
 
 def test_fidelity_only_run_past_t_off_matches_all_rung_run(monkeypatch):
@@ -381,10 +386,7 @@ def test_fidelity_only_run_allocates_no_square_or_grid_array():
 
 
 def test_unreachable_fidelity_only_run_is_zero_without_eigensolve(monkeypatch):
-    def no_eigensolve(operator):
-        raise AssertionError("eigensolver called")
-
-    monkeypatch.setattr(dynamics, "eigendecompose", no_eigensolve)
+    _forbid_solvers(monkeypatch, "eigensolver called")
     config = SimulationConfig(
         N=30, n=12, params=ModelParams(), t_max=4.0, steps=301, record=("fidelity",)
     )
@@ -393,6 +395,49 @@ def test_unreachable_fidelity_only_run_is_zero_without_eigensolve(monkeypatch):
     np.testing.assert_array_equal(series["fidelity"], 0.0)
     with pytest.raises(AssertionError, match="eigensolver"):
         run(SimulationConfig(N=30, n=12, params=ModelParams(), t_max=4.0, steps=301))
+
+
+@pytest.mark.parametrize(
+    "N, n, t_off",
+    [
+        (1, 5, math.inf),  # D = 2
+        (2, 2, math.inf),  # D = 3, N = n
+        (6, 3, math.inf),  # D = 4, n < N
+        (9, 4, math.inf),  # D = 5, n < N
+        (40, 40, math.inf),  # D = 41, N = n
+        (41, 900, math.inf),  # D = 42
+        (300, 3000, math.inf),  # D = 301
+        (7, 50, 0.21),  # D = 8, switched off inside the grid
+        (12, 12, 0.3),  # D = 13, switched off inside the grid
+    ],
+)
+def test_chiral_populations_match_eigenvector_propagation(N, n, t_off):
+    params = ModelParams(g=0.8, t_off=t_off)
+    config = SimulationConfig(
+        N=N, n=n, params=params, t_max=3 * universal_flip_time(N, params.g, n), steps=401
+    )
+    times = np.linspace(0.0, config.t_max, config.steps)
+    populations = dynamics._rung_populations(config, times)
+
+    # the reference propagates the full eigensystem on the live samples and
+    # evolves to t_off itself for the frozen ones
+    basis = config.basis
+    eig = eigendecompose(sector_operator(basis, params, "exact"))
+    psi0 = initial_state(basis)
+    live = int(np.count_nonzero(times < t_off))
+    reference = np.empty_like(populations)
+    real, imag = dynamics._propagate(eig, psi0.amplitudes, times[1], live)
+    reference[:, :live] = real**2 + imag**2
+    if live < times.size:
+        assert 10 < live < times.size - 10
+        reference[:, live:] = (np.abs(evolve(psi0, eig, t_off).amplitudes) ** 2)[:, None]
+    # every amplitude of either route is a dim-term sum with sum |term| <= 1 whose
+    # terms are products of about four rounded factors (eigenvector entry, weight,
+    # coarse and fine phase), so it is good to 4 dim eps and a population to
+    # 8 dim eps; two routes, 16 dim eps
+    atol = 16 * basis.dimension * np.finfo(float).eps
+    np.testing.assert_allclose(populations, reference, rtol=0, atol=atol)
+    assert populations.shape == (basis.dimension, times.size)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 17, 20001, 20022])

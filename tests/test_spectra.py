@@ -12,6 +12,7 @@ from dicke_battery.spectra import (
     EigenSystem,
     analytic_eigenvalues,
     analytic_eigenvectors,
+    chiral_decompose,
     eigendecompose,
     pseudo_hermite_family,
     spectral_measure,
@@ -84,6 +85,60 @@ def test_end_weights_refuse_a_near_degenerate_spectrum():
     wilkinson = TridiagonalOperator(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
     with pytest.raises(EigenSolverError, match="gap"):
         spectral_measure(wilkinson)
+
+
+def _even_to_odd_block(operator):
+    """C with C[i, j] = <2i| T |2j+1>, padded with a zero column to ceil(D/2) square."""
+    half = (operator.dimension + 1) // 2
+    dense = operator.to_dense()
+    block = np.zeros((half, half))
+    odd = dense[0::2, 1::2]
+    block[:, : odd.shape[1]] = odd
+    return block
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        TridiagonalOperator(np.zeros(1), np.zeros(0)),
+        exact_tc_matrix(build_sector(1, 5), ModelParams()),
+        exact_tc_matrix(build_sector(2, 2), ModelParams(g=0.6)),
+        exact_tc_matrix(build_sector(9, 4), ModelParams()),
+        exact_tc_matrix(build_sector(40, 900), ModelParams(g=1.7)),
+        large_n_matrix(61, ModelParams(), 100),
+        exact_tc_matrix(build_sector(2000, 2000), ModelParams()),
+    ],
+    ids=lambda operator: f"D{operator.dimension}",
+)
+def test_chiral_decompose_is_an_svd_of_the_even_to_odd_block(operator):
+    values, evens, odds = chiral_decompose(operator)
+    half = (operator.dimension + 1) // 2
+    eps = np.finfo(float).eps
+    assert values.shape == (half,) and evens.shape == odds.shape == (half, half)
+    assert np.all(np.diff(values) <= 0) and values[-1] >= 0
+    # orthonormal to the rounding of half-term dot products
+    for factor in (evens, odds):
+        assert np.max(np.abs(factor.T @ factor - np.eye(half))) < 4 * half * eps
+    block = _even_to_odd_block(operator)
+    radius = max(values[0], 1.0)
+    assert np.max(np.abs(evens * values @ odds.T - block)) < 4 * half * eps * radius
+    if operator.dimension % 2:
+        # the padding column: singular value 0 to rounding, carried by the padding row of W
+        assert values[-1] < 4 * half * eps * radius
+        assert abs(odds[-1, -1]) > 1 - 4 * half * eps
+    # the ladder's eigenvalues are +-sigma, with one 0 for odd D
+    paired = values[: operator.dimension // 2]
+    mirrored = np.concatenate([-paired, paired, values[operator.dimension // 2 :]])
+    np.testing.assert_allclose(
+        np.sort(mirrored), eigendecompose(operator).eigenvalues, rtol=0, atol=4 * half * eps * radius
+    )
+
+
+def test_chiral_decompose_refuses_a_nonzero_diagonal():
+    operator = exact_tc_matrix(build_sector(4, 10), ModelParams())
+    detuned = TridiagonalOperator(0.1 * np.arange(operator.dimension), operator.offdiagonal)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        chiral_decompose(detuned)
 
 
 def test_ladder_spectrum_three_spins():
