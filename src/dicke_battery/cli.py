@@ -342,28 +342,25 @@ def _check_unitarity() -> VerifyCheck:
 
 
 def _check_large_n_rotation() -> VerifyCheck:
-    # run's closed-form Binomial populations against the numeric ladder
+    # run's closed-form spin moments against the moments of the propagated ladder
     N, n = 2000, 10**6
     tau = analysis.universal_flip_time(N, 1.0, n)
     config = SimulationConfig(
-        N=N,
-        n=n,
-        params=ModelParams(),
-        t_max=2.0 * tau,
-        steps=101,
-        model="large_n",
-        record=("W_over_capacity", "fidelity", "norm"),
+        N=N, n=n, params=ModelParams(), t_max=2.0 * tau, steps=101, model="large_n"
     )
     series = dynamics.run(config)
-    basis = build_sector(N, n)
-    operator = dynamics.sector_operator(basis, config.params, "large_n")
+    operator = dynamics.sector_operator(config.basis, config.params, "large_n")
     eigensystem = spectra.eigendecompose(operator)
-    psi0 = initial_state(basis).amplitudes
+    psi0 = initial_state(config.basis).amplitudes
     real, imag = dynamics._propagate(eigensystem, psi0, series.times[1], series.times.size)
     populations = real**2 + imag**2
+    moments = observables.spin_moments(populations, N)
     reference = {
-        "W_over_capacity": observables.spin_moments(populations, N).p,
+        "W_over_capacity": moments.p,
         "fidelity": populations[N],
+        "entropy_spin1": moments.entropy(),
+        "concurrence": moments.concurrence(),
+        "cos_theta": moments.cos_theta(),
         "norm": np.sqrt(populations.sum(axis=0)),
     }
     worst = max(float(np.max(np.abs(series[name] - column))) for name, column in reference.items())

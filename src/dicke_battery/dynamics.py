@@ -3,16 +3,17 @@
 The exact model is propagated spectrally: every sample goes directly from
 t = 0 through one application of exp(-i T t), so there is no step-to-step
 error accumulation and unitarity holds to rounding over arbitrarily many
-samples.  The large_n operator is 2 g sqrt(n) J_x, a rigid spin rotation,
-so its rung populations are the closed-form Binomial(N, sin^2(g sqrt(n) t))
-and need no eigensolver.  Both routes end in the same rung-population
-matrix, from which every observable follows.
+samples.  The large_n operator is 2 g sqrt(n) J_x, a rigid spin rotation:
+from the empty battery every spin turns on its own and is up with
+probability s = sin^2(g sqrt(n) t), so its spin moments are s, s^2,
+(1 - s)^2 and s (1 - s), its fidelity is s^N, and nothing is solved.
+Both models end in the same column table, built from the fidelity row,
+the population total and the four spin moments.
 
-A run forms only the rows of that matrix its observables read, and an
-exact run takes one of two routes.  Fidelity reads rung N alone, and an
-exact run that records nothing else never forms an eigenvector: for the
-tridiagonal ladder <N| U(t) |0> is sum_j c_j exp(-i lambda_j t), and the
-end weights c_j = v_0j v_Nj follow from the eigenvalues
+An exact run takes one of two routes.  Fidelity reads rung N alone, and
+an exact run that records nothing else never forms an eigenvector: for
+the tridiagonal ladder <N| U(t) |0> is sum_j c_j exp(-i lambda_j t), and
+the end weights c_j = v_0j v_Nj follow from the eigenvalues
 (`spectra.spectral_measure`), so such a run solves for eigenvalues only
 and holds O(dim (chunk + sqrt(steps)) + steps) numbers.  With n < N
 fidelity is identically 0 and nothing is solved.  Every other observable
@@ -50,9 +51,6 @@ from .operators import ModelParams, TridiagonalOperator, exact_tc_matrix, large_
 from .spectra import EigenSystem, chiral_decompose, spectral_measure
 
 MODELS = ("exact", "large_n")
-
-# exp of anything below this is subnormal or 0
-_LOG_TINY = math.log(np.finfo(float).tiny)
 
 # canonical recording order, also the CSV column order
 OBSERVABLE_NAMES = (
@@ -243,40 +241,12 @@ def _held_past_t_off(times: np.ndarray, t_off: float, sample) -> np.ndarray:
     return held
 
 
-def _rotation_populations(N: int, angles: np.ndarray) -> np.ndarray:
-    """Binomial(N, sin^2 angle) rung populations, one column per angle.
-
-    From the empty battery, exp(-i 2 angle J_x) turns every spin alone
-    (Arecchi et al., PRA 6, 2211 (1972)), so rung k holds
-    C(N, k) sin^(2k) cos^(2(N-k)).  The end rungs are plain powers, so
-    angle 0 and pi/2 give exact delta populations; the inner rungs, whose
-    binomials overflow a float, are summed in log space.  Exponents below
-    log(tiny) stay an exact 0: exp would give a subnormal of at most
-    2.2e-308, and slowly.
-    """
-    up, down = np.sin(angles) ** 2, np.cos(angles) ** 2
-    populations = np.zeros((N + 1, up.size))
-    populations[0], populations[N] = down**N, up**N
-    k = np.arange(1, N)[:, None]
-    log_binomial = np.array(
-        [math.lgamma(N + 1.0) - math.lgamma(j + 1.0) - math.lgamma(N - j + 1.0) for j in range(1, N)]
-    )[:, None]
-    exponent = log_binomial + k * _log(up) + (N - k) * _log(down)
-    np.exp(exponent, out=populations[1:N], where=exponent > _LOG_TINY)
-    return populations
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """Natural log with log 0 = -inf, which exp maps back to an exact 0."""
-    return np.log(x, out=np.full_like(x, -np.inf), where=x > 0.0)
-
-
 def sector_operator(basis: SectorBasis, params: ModelParams, model: str) -> TridiagonalOperator:
     """Charging operator for the requested model on the given sector.
 
     `run` propagates only the exact one; the large_n operator serves the
     spectrum report and `verify`, and is the independent reference for the
-    closed-form rotation in `run`.
+    closed-form spin moments of `run`.
     """
     if model == "exact":
         return exact_tc_matrix(basis, params)
@@ -294,63 +264,51 @@ def run(config: SimulationConfig) -> ObservableSeries:
     """Charging run on the uniform grid 0..t_max with `steps` samples.
 
     Each sample is evolved independently from t = 0: spectrally for the
-    exact model, as the closed-form Binomial(N, sin^2(g sqrt(n) t)) rung
-    populations for large_n.  An exact run that records fidelity alone
-    reads rung N only and takes it from the eigenvalues and end weights;
-    every other exact run propagates every rung through the singular
-    value decomposition of the ladder's even-to-odd block.  Past the coupling
+    exact model, as the closed-form spin moments of the rotation by
+    g sqrt(n) t for large_n, whose `norm` is exactly 1 and `excitation`
+    exactly n - N/2.  An exact run that records fidelity alone reads rung
+    N only and takes it from the eigenvalues and end weights; every other
+    exact run propagates every rung through the singular value
+    decomposition of the ladder's even-to-odd block.  Past the coupling
     window t_off nothing acts in the rotating frame, so every observable
     is frozen at its t_off value.
     """
-    basis = config.basis
+    basis, N = config.basis, config.basis.N
     times = np.linspace(0.0, config.t_max, config.steps)
-    wanted = set(config.record)
-    data: dict[str, np.ndarray] = {}
-    if "fidelity" in wanted and basis.n < basis.N:
-        # the fully charged product state lies outside the reachable sector
-        data["fidelity"] = np.zeros_like(times)
-    pending = wanted - data.keys()
-    if not pending:
-        return ObservableSeries(times=times, data=data)
-    if pending == {"fidelity"} and config.model == "exact":
-        data["fidelity"] = _end_to_end_fidelity(config, times)
-        return ObservableSeries(times=times, data=data)
-    populations = _rung_populations(config, times)
-
-    if "fidelity" in pending:
-        data["fidelity"] = populations[-1]
-    if "excitation" in wanted or "norm" in wanted:
-        total = populations.sum(axis=0)
-        if "excitation" in wanted:
-            # a†a + S_z is the same constant on every rung
-            data["excitation"] = basis.excitation_number * total
-        if "norm" in wanted:
-            data["norm"] = np.sqrt(total)
-    if wanted & {"W_over_capacity", "entropy_spin1", "concurrence", "cos_theta"}:
-        moments = observables.spin_moments(populations, basis.N)
-        if "W_over_capacity" in wanted:
-            data["W_over_capacity"] = moments.p
-        if "entropy_spin1" in wanted:
-            data["entropy_spin1"] = moments.entropy()
-        if "concurrence" in wanted:
-            data["concurrence"] = moments.concurrence()
-        if "cos_theta" in wanted:
-            data["cos_theta"] = moments.cos_theta()
-
-    return ObservableSeries(times=times, data=data)
+    if config.model == "large_n":
+        angles = config.params.g * math.sqrt(basis.n) * np.minimum(times, config.params.t_off)
+        up = np.sin(angles) ** 2
+        down = 1.0 - up
+        # N = 1 has no pair, as in spin_moments
+        pairs = (up**2, down**2, up * down) if N > 1 else (np.zeros_like(up),) * 3
+        fidelity, total, moments = up**N, np.ones_like(up), observables.SpinMoments(up, *pairs)
+    elif config.record == ("fidelity",):
+        return ObservableSeries(times=times, data={"fidelity": _end_to_end_fidelity(config, times)})
+    else:
+        populations = _rung_populations(config, times)
+        # with n < N the fully charged product state lies outside the sector
+        fidelity = populations[N] if basis.n >= N else np.zeros_like(times)
+        total, moments = populations.sum(axis=0), observables.spin_moments(populations, N)
+    columns = {
+        "W_over_capacity": moments.p,
+        "fidelity": fidelity,
+        "entropy_spin1": moments.entropy(),
+        "concurrence": moments.concurrence(),
+        "cos_theta": moments.cos_theta(),
+        # a†a + S_z is the same constant on every rung
+        "excitation": basis.excitation_number * total,
+        "norm": np.sqrt(total),
+    }
+    return ObservableSeries(times=times, data={name: columns[name] for name in config.record})
 
 
 def _rung_populations(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
-    """(rungs, samples) populations, frozen at the t_off state past t_off."""
+    """(rungs, samples) exact-model populations, frozen at the t_off state past t_off."""
     basis = config.basis
-    t_off = config.params.t_off
-    if config.model == "large_n":
-        angles = config.params.g * math.sqrt(basis.n) * np.minimum(times, t_off)
-        return _rotation_populations(basis.N, angles)
     values, evens, odds = chiral_decompose(sector_operator(basis, config.params, config.model))
     # an odd ladder pads C with a zero column; its row of W is no rung
     sample = functools.partial(_chiral_populations, values, evens, odds[: basis.dimension // 2])
-    return _held_past_t_off(times, t_off, sample)
+    return _held_past_t_off(times, config.params.t_off, sample)
 
 
 def _chiral_populations(
@@ -390,11 +348,14 @@ def _chiral_populations(
 def _end_to_end_fidelity(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
     """|<N| U(t) |0>|^2 of the exact model from its eigenvalues and end weights.
 
-    With n >= N rung N is the top rung of the ladder, so the amplitude is
-    sum_j c_j exp(-i lambda_j t) with c_j = v_0j v_Nj from
-    `spectral_measure`; no eigenvector is formed.  Frozen at its t_off
-    value past t_off.
+    With n < N the fully charged product state lies outside the sector and
+    the fidelity is 0 with nothing solved.  With n >= N rung N is the top
+    rung of the ladder, so the amplitude is sum_j c_j exp(-i lambda_j t)
+    with c_j = v_0j v_Nj from `spectral_measure`; no eigenvector is formed.
+    Frozen at its t_off value past t_off.
     """
+    if config.basis.n < config.basis.N:
+        return np.zeros_like(times)
     values, weights = spectral_measure(sector_operator(config.basis, config.params, config.model))
     amplitudes = _held_past_t_off(
         times, config.params.t_off, functools.partial(_end_amplitudes, values, weights)

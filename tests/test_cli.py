@@ -127,7 +127,8 @@ def test_simulate_rejects_starved_large_n(capsys):
 
 
 def test_simulate_large_n_at_rest_and_at_flip_is_warning_free(capsys):
-    # t = 0 and tau put zero in the closed form's logarithms
+    # t = 0 and tau put p = 0 and p = 1 into the entropy's x ln x and zero
+    # pair moments into the concurrence's square root
     tau = math.pi / (2 * math.sqrt(100))
     argv = [
         "simulate", "--spins", "7", "--photons", "100", "--t-max", repr(tau),

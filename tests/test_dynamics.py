@@ -268,10 +268,7 @@ def test_large_n_run_never_calls_the_eigensolver(monkeypatch):
 def test_large_n_closed_form_matches_spectral_reference(N):
     params, n = ModelParams(g=0.9), 1000
     tau = universal_flip_time(N, params.g, n)
-    config = SimulationConfig(
-        N=N, n=n, params=params, t_max=2 * tau, steps=41, model="large_n",
-        record=("W_over_capacity", "fidelity", "norm"),
-    )
+    config = SimulationConfig(N=N, n=n, params=params, t_max=2 * tau, steps=41, model="large_n")
     series = run(config)
     assert series.times[0] == 0.0 and series.times[20] == tau
 
@@ -280,19 +277,29 @@ def test_large_n_closed_form_matches_spectral_reference(N):
         eig, initial_state(build_sector(N, n)).amplitudes, series.times[1], series.times.size
     )
     populations = real**2 + imag**2
+    moments = spin_moments(populations, N)
+    total = populations.sum(axis=0)
     reference = {
-        "W_over_capacity": spin_moments(populations, N).p,
+        "W_over_capacity": moments.p,
         "fidelity": populations[N],
-        "norm": np.sqrt(populations.sum(axis=0)),
+        "entropy_spin1": moments.entropy(),
+        "concurrence": moments.concurrence(),
+        "cos_theta": moments.cos_theta(),
+        "norm": np.sqrt(total),
     }
     for name, column in reference.items():
         np.testing.assert_allclose(series[name], column, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(series["excitation"], (n - N / 2) * total, rtol=1e-12, atol=0)
 
-    # the empty battery and the full flip are exact delta populations
+    # norm and excitation are analytic constants, and a single spin has no pair
+    np.testing.assert_array_equal(series["norm"], 1.0)
+    np.testing.assert_array_equal(series["excitation"], n - N / 2)
+    if N == 1:
+        np.testing.assert_array_equal(series["concurrence"], 0.0)
+    # the empty battery and the full flip are exact
     for i, charged in ((0, 0.0), (20, 1.0)):
         assert series["W_over_capacity"][i] == charged
         assert series["fidelity"][i] == charged
-        assert series["norm"][i] == 1.0
 
 
 def test_large_n_run_freezes_after_t_off():
@@ -326,7 +333,7 @@ def test_fidelity_only_run_matches_full_run(model, N, n, t_off):
     assert alone.recorded == ("fidelity",)
     assert full["fidelity"].max() > 0.1
     if model == "large_n":
-        # both read the top row of the same closed-form population matrix
+        # both are the same closed form, sin^2N(g sqrt(n) t)
         np.testing.assert_array_equal(alone["fidelity"], full["fidelity"])
         return
     # the exact routes are independent: eigenvalues and end weights against
@@ -369,12 +376,18 @@ def test_exact_fidelity_only_runs_need_no_eigenvectors(monkeypatch):
         run(SimulationConfig(N=5, n=5, params=ModelParams(), t_max=1.0, steps=11))
 
 
-def test_fidelity_only_run_allocates_no_square_or_grid_array():
-    # a (dim, dim) eigenvector matrix or a (dim, steps) block would be 32 MB
-    N, n, steps = 2000, 2000, 2001
+@pytest.mark.parametrize(
+    "N, n, model, record",
+    [(2000, 2000, "exact", ("fidelity",)), (10**4, 10**4, "large_n", OBSERVABLE_NAMES)],
+    ids=["exact-fidelity", "large_n-all"],
+)
+def test_run_allocates_no_square_or_grid_array(N, n, model, record):
+    # a (dim, dim) eigenvector matrix or a (dim, steps) population block
+    # would be 32 MB at dim 2001 and 160 MB at dim 10001
+    steps = 2001
     config = SimulationConfig(
         N=N, n=n, params=ModelParams(), t_max=2.5 * universal_flip_time(N, 1.0, n),
-        steps=steps, record=("fidelity",),
+        steps=steps, model=model, record=record,
     )
     tracemalloc.start()
     try:
