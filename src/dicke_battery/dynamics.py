@@ -24,17 +24,19 @@ even rungs hold U cos(Sigma t) U^T e_0 and the odd rungs
 -i W sin(Sigma t) U^T e_0, with C = U Sigma W^T from
 `spectra.chiral_decompose`, so the populations come from two real
 half-size products and no dim x dim or complex array is formed.
-`_propagate`, V exp(-i D t) V^T psi over the full eigensystem of
-`spectra.eigendecompose`, serves `evolve` and is the independent
-reference for both routes.  On the uniform grid t_m = m dt the phases
-factor as exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt)
-with m = a B + b and B = ceil(sqrt(steps)), so two tables of about
-sqrt(steps) angles per eigenvalue replace a cos and a sin per sample.
-For the rung populations their products are formed in real arithmetic,
-with the weights folded into the fine table, in the blocks that go
-through the eigenvectors; for the end-to-end amplitude they are one
-complex (coarse, dim) @ (dim, fine) product with the weights c_j folded
-into the fine table.
+`evolve` applies V exp(-i D t) V^T psi over the full eigensystem of
+`spectra.eigendecompose` at a single time; `oracle.ladder_populations`,
+the same formula over any time array, is the reference for both routes
+and shares no solver or phase table with them.  On the uniform grid
+t_m = m dt the phases factor as
+exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt) with
+m = a B + b and B = ceil(sqrt(steps)), so two tables of about sqrt(steps)
+angles per eigenvalue replace a cos and a sin per sample.  For the rung
+populations their products are formed in real arithmetic, with the
+weights folded into the fine table, in the blocks that go through the
+singular vectors; for the end-to-end amplitude they are one complex
+(coarse, dim) @ (dim, fine) product with the weights c_j folded into the
+fine table.
 """
 
 from __future__ import annotations
@@ -136,17 +138,20 @@ class ObservableSeries:
 
 
 def evolve(state: SectorState, eigensystem: EigenSystem, t: float) -> SectorState:
-    """Propagate a state to time t >= 0 in one spectral application."""
+    """Propagate a state to a finite time t >= 0: V exp(-i D t) V^T psi."""
     if eigensystem.dimension != state.basis.dimension:
         raise ValueError(
             f"dimension mismatch: eigensystem {eigensystem.dimension}, "
             f"state {state.basis.dimension}"
         )
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    # column 1 of the two-sample grid {0, t}
-    real, imag = _propagate(eigensystem, state.amplitudes, t, 2)
-    return SectorState(state.basis, real[:, 1] + 1j * imag[:, 1])
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be non-negative and finite, got {t}")
+    # V is real: V^T psi and V (phases V^T psi) as two real products each
+    vectors, amplitudes = eigensystem.eigenvectors, state.amplitudes
+    phased = np.exp(-1j * eigensystem.eigenvalues * t) * (
+        vectors.T @ amplitudes.real + 1j * (vectors.T @ amplitudes.imag)
+    )
+    return SectorState(state.basis, vectors @ phased.real + 1j * (vectors @ phased.imag))
 
 
 def _phase_tables(eigenvalues: np.ndarray, dt: float, steps: int):
@@ -168,38 +173,6 @@ def _phase_tables(eigenvalues: np.ndarray, dt: float, steps: int):
     np.cos(angles, out=rotations[..., 0])
     np.sin(angles, out=rotations[..., 1])
     return rotations, cos, sin
-
-
-def _propagate(eigensystem: EigenSystem, amplitudes: np.ndarray, dt: float, steps: int):
-    """V exp(-i D t_m) V^T psi on the grid t_m = m dt, m < steps.
-
-    V is real, so the real and imaginary parts of exp(-i D t_m) V^T psi sit
-    side by side in one real block and go through a single real product
-    with V; the weights V^T psi come from two real products as well.
-    Neither step upcasts V to a complex copy.  The phases come from the
-    coarse and fine tables of `_phase_tables`; the weights are folded into
-    the fine table and one batched real matmul per part writes the products
-    straight into the block.  Returns the (real, imaginary) pair of
-    (dim, steps) arrays.
-    """
-    vectors = eigensystem.eigenvectors
-    dim = vectors.shape[0]
-    rotations, cos, sin = _phase_tables(eigensystem.eigenvalues, dt, steps)
-    coarse, fine = rotations.shape[1], cos.shape[1]
-    w_re = (vectors.T @ amplitudes.real)[:, None]
-    w_im = (vectors.T @ amplitudes.imag)[:, None]
-    # exp(-i b) (w_re + i w_im) = (cos w_re + sin w_im) + i (cos w_im - sin w_re);
-    # rows re, im, -re, so that [re; im] and [im; -re] are both contiguous pairs
-    weighted = np.empty((dim, 3, fine))
-    weighted[:, 0] = cos * w_re + sin * w_im
-    weighted[:, 1] = cos * w_im - sin * w_re
-    np.negative(weighted[:, 0], out=weighted[:, 2])
-    # (cos - i sin)(re + i im) = (cos re + sin im) + i (cos im - sin re)
-    block = np.empty((dim, 2, coarse, fine))
-    np.matmul(rotations, weighted[:, 0:2], out=block[:, 0])
-    np.matmul(rotations, weighted[:, 1:3], out=block[:, 1])
-    stacked = (vectors @ block.reshape(dim, -1)).reshape(dim, 2, coarse * fine)
-    return stacked[:, 0, :steps], stacked[:, 1, :steps]
 
 
 def _end_amplitudes(eigenvalues: np.ndarray, weights: np.ndarray, dt: float, steps: int):

@@ -89,7 +89,7 @@ class SectorState:
                 f"expected ({self.basis.dimension},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

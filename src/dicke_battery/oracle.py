@@ -1,11 +1,15 @@
-"""Brute-force reference simulator on the full spin (x) Fock space.
+"""Reference simulators, kept out of the run paths.
 
-Ground truth for small systems: no symmetry restriction, explicit tensor
-products, dense diagonalization.  Deliberately naive and test-sized
-(N <= 4, Fock truncation <= 64); the sector simulator must agree with it
-wherever both apply.  Like the sector operators it works in the frame
-rotating at the shared resonance, so the Hamiltonian is the coupling
-alone.
+Brute force on the full spin (x) Fock space is the ground truth for small
+systems: no symmetry restriction, explicit tensor products, dense
+diagonalization.  It is deliberately naive and test-sized (N <= 4, Fock
+truncation <= 64); the sector simulator must agree with it wherever both
+apply.  Like the sector operators it works in the frame rotating at the
+shared resonance, so the Hamiltonian is the coupling alone.
+
+`ladder_populations` is the reference on the sector ladder at any size:
+the spectral formula V exp(-i D t) V^T e_0 over the full eigensystem,
+written plainly and sharing no solver or phase table with `dynamics.run`.
 
 Index layout: basis vector index = s * (n_max + 1) + m, where m is the
 Fock level and s encodes the spin chain with spin 0 as the most
@@ -24,7 +28,8 @@ import numpy as np
 import scipy.linalg
 
 from .hilbert import SectorBasis, SectorState
-from .operators import ModelParams
+from .operators import ModelParams, TridiagonalOperator
+from .spectra import eigendecompose
 
 MAX_SPINS = 4
 MAX_FOCK = 64
@@ -132,6 +137,20 @@ def brute_force_trajectory(N: int, n: int, params: ModelParams, times) -> list[F
             )
         states.append(state)
     return states
+
+
+def ladder_populations(operator: TridiagonalOperator, times) -> np.ndarray:
+    """|<k| exp(-i T t) |0>|^2 for every rung k and every t in times.
+
+    One full eigensystem T = V D V^T, the (dim, times) phases
+    exp(-i lambda_j t) scaled by V^T e_0 = V[0], and one real product with V
+    for each of their real and imaginary parts.  Returns the (rungs, times)
+    populations.
+    """
+    eigensystem = eigendecompose(operator)
+    vectors = eigensystem.eigenvectors
+    phases = np.exp(-1j * np.outer(eigensystem.eigenvalues, times)) * vectors[0][:, None]
+    return (vectors @ phases.real) ** 2 + (vectors @ phases.imag) ** 2
 
 
 def dicke_vector(N: int, k: int) -> np.ndarray:

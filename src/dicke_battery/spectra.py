@@ -21,7 +21,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import mmap
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,13 +200,8 @@ def chiral_decompose(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndar
     values = np.zeros(half)
     values[: dim // 2] = operator.offdiagonal[0::2]
     sub = np.array(operator.offdiagonal[1::2])
-    # column-major output in row-major buffers: u holds U^T and vt holds W.
-    # They are the largest arrays a run keeps and get an anonymous mapping of
-    # their own: grown into the malloc heap, they leave it to be trimmed after
-    # the run, and the next run faults its arrays back in (about 1700 page
-    # faults for a 1000-rung large_n run after a 3000-rung exact one)
-    mapping = mmap.mmap(-1, 2 * 8 * half * half)
-    u, vt = np.frombuffer(mapping, dtype=float).reshape(2, half, half)
+    # column-major output in row-major buffers: u holds U^T and vt holds W
+    u, vt = np.empty((2, half, half))
     work = np.empty(3 * half * half + 4 * half)
     iwork = np.empty(8 * half, dtype=np.intc)
     info = ctypes.c_int(0)

@@ -299,16 +299,29 @@ def test_verify_reports_corruption(capsys, monkeypatch):
                           for xi in range(N + 1)])
         return table[: N + 1]
 
-    for name, poison, caught_by in (
-        ("analytic_eigenvalues", skewed, "ladder eigenvalues"),
-        ("pseudo_hermite_family", off_by_one, "analytic eigenvectors"),
+    true_tables = cli.dynamics._phase_tables
+
+    def flipped_sine(eigenvalues, dt, steps):
+        # the fine sine table negated, shared by both exact run routes
+        rotations, cos, sin = true_tables(eigenvalues, dt, steps)
+        return rotations, cos, -sin
+
+    for module, name, poison, caught_by, spared in (
+        (cli.spectra, "analytic_eigenvalues", skewed, ("ladder eigenvalues",), ()),
+        (cli.spectra, "pseudo_hermite_family", off_by_one, ("analytic eigenvectors",), ()),
+        (cli.dynamics, "_phase_tables", flipped_sine,
+         ("norm drift and chiral", "spectral-measure fidelity"), ("large_n closed form",)),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(cli.spectra, name, poison)
+            patch.setattr(module, name, poison)
             code, out, _ = run_cli(capsys, ["verify"])
         assert code == 1
         failed = [line for line in out.split("\n") if line.endswith("FAIL")]
-        assert any(line.startswith(caught_by) for line in failed)
+        passed = [line for line in out.split("\n") if line.endswith("PASS")]
+        for prefix in caught_by:
+            assert any(line.startswith(prefix) for line in failed), prefix
+        for prefix in spared:
+            assert any(line.startswith(prefix) for line in passed), prefix
         assert "checks failed" in out.strip().split("\n")[-1]
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicke_battery import dynamics, spectra
+from dicke_battery import dynamics, oracle, spectra
 from dicke_battery.analysis import flip_summary, universal_flip_time
 from dicke_battery.dynamics import (
     OBSERVABLE_NAMES,
@@ -23,7 +23,7 @@ from dicke_battery.observables import (
     von_neumann_entropy,
 )
 from dicke_battery.operators import ModelParams, exact_tc_matrix, large_n_matrix
-from dicke_battery.spectra import EigenSystem, eigendecompose
+from dicke_battery.spectra import eigendecompose
 
 
 def test_evolve_at_zero_is_identity():
@@ -69,6 +69,14 @@ def test_evolve_rejects_mismatch_and_negative_time():
         evolve(initial_state(build_sector(2, 7)), eig, 1.0)
     with pytest.raises(ValueError, match="non-negative"):
         evolve(initial_state(basis), eig, -0.1)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_evolve_rejects_non_finite_time(t):
+    basis = build_sector(3, 7)
+    eig = eigendecompose(exact_tc_matrix(basis, ModelParams()))
+    with pytest.raises(ValueError, match="finite"):
+        evolve(initial_state(basis), eig, t)
 
 
 def test_sector_operator_dispatch():
@@ -272,11 +280,7 @@ def test_large_n_closed_form_matches_spectral_reference(N):
     series = run(config)
     assert series.times[0] == 0.0 and series.times[20] == tau
 
-    eig = eigendecompose(large_n_matrix(N, params, n))
-    real, imag = dynamics._propagate(
-        eig, initial_state(build_sector(N, n)).amplitudes, series.times[1], series.times.size
-    )
-    populations = real**2 + imag**2
+    populations = oracle.ladder_populations(large_n_matrix(N, params, n), series.times)
     moments = spin_moments(populations, N)
     total = populations.sum(axis=0)
     reference = {
@@ -432,18 +436,15 @@ def test_chiral_populations_match_eigenvector_propagation(N, n, t_off):
     times = np.linspace(0.0, config.t_max, config.steps)
     populations = dynamics._rung_populations(config, times)
 
-    # the reference propagates the full eigensystem on the live samples and
-    # evolves to t_off itself for the frozen ones
+    # the reference propagates the full eigensystem to each time, t_off for
+    # the frozen samples
     basis = config.basis
-    eig = eigendecompose(sector_operator(basis, params, "exact"))
-    psi0 = initial_state(basis)
+    reference = oracle.ladder_populations(
+        sector_operator(basis, params, "exact"), np.minimum(times, t_off)
+    )
     live = int(np.count_nonzero(times < t_off))
-    reference = np.empty_like(populations)
-    real, imag = dynamics._propagate(eig, psi0.amplitudes, times[1], live)
-    reference[:, :live] = real**2 + imag**2
     if live < times.size:
         assert 10 < live < times.size - 10
-        reference[:, live:] = (np.abs(evolve(psi0, eig, t_off).amplitudes) ** 2)[:, None]
     # every amplitude of either route is a dim-term sum with sum |term| <= 1 whose
     # terms are products of about four rounded factors (eigenvector entry, weight,
     # coarse and fine phase), so it is good to 4 dim eps and a population to
@@ -459,15 +460,19 @@ def test_phase_tables_match_direct_phases(steps):
     # routes, so the comparison sees only the coarse x fine factorization
     eigenvalues = np.array([-1.0, -0.6875, -0.25, 0.0, 0.0078125, 0.5, 0.875, 1.0])
     dt = 0.5 if steps > 100 else 0.75
-    rng = np.random.default_rng(steps)
-    weights = rng.normal(size=8) + 1j * rng.normal(size=8)
-    identity = EigenSystem(eigenvalues, np.eye(8))
-    real, imag = dynamics._propagate(identity, weights, dt, steps)
+    rotations, cos, sin = dynamics._phase_tables(eigenvalues, dt, steps)
+    coarse, fine = rotations.shape[1], cos.shape[1]
+    # the grid m = a fine + b covers every sample, with less than one fine row to spare
+    assert steps <= coarse * fine < steps + fine
+    # exp(-i (x + y)) = (cos x - i sin x)(cos y - i sin y)
+    coarse_phases = rotations[..., 0] - 1j * rotations[..., 1]
+    fine_phases = cos - 1j * sin
+    phases = (coarse_phases[:, :, None] * fine_phases[:, None, :]).reshape(8, -1)[:, :steps]
     times = np.arange(steps) * dt
     if steps == 20001:
         assert eigenvalues.max() * times[-1] >= 1e4
-    reference = np.exp(-1j * np.outer(eigenvalues, times)) * weights[:, None]
-    np.testing.assert_allclose(real + 1j * imag, reference, rtol=0, atol=1e-12)
+    reference = np.exp(-1j * np.outer(eigenvalues, times))
+    np.testing.assert_allclose(phases, reference, rtol=0, atol=1e-12)
 
 
 def test_series_validation():

@@ -104,6 +104,14 @@ def test_state_requires_unit_norm():
     SectorState(basis, np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_rejects_non_finite_amplitudes(bad):
+    # a NaN norm compares False against any tolerance, so the check must not
+    # be phrased as "deviation > tolerance"
+    with pytest.raises(ValueError, match="norm"):
+        SectorState(build_sector(2, 2), np.array([bad, 0.0, 0.0]))
+
+
 def test_state_requires_matching_dimension():
     basis = build_sector(2, 2)
     with pytest.raises(ValueError, match="shape"):

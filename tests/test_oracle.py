@@ -74,6 +74,19 @@ def test_sector_evolution_matches_brute_force():
         np.testing.assert_allclose(projected, phase * sector.amplitudes, atol=1e-11)
 
 
+@pytest.mark.parametrize("N, n", [(1, 1), (1, 5), (2, 1), (2, 3), (3, 2), (3, 4), (3, 12)])
+def test_ladder_populations_match_brute_force(N, n):
+    # the spectral reference on the ladder against the full-space one
+    params = ModelParams(g=0.9)
+    basis = build_sector(N, n)
+    times = np.random.default_rng(100 * N + n).uniform(0.0, 4.0, size=6)
+    populations = oracle.ladder_populations(exact_tc_matrix(basis, params), times)
+    assert populations.shape == (basis.dimension, times.size)
+    for column, full in zip(populations.T, oracle.brute_force_trajectory(N, n, params, times)):
+        reference = np.abs(oracle.full_to_sector(full, basis)) ** 2
+        np.testing.assert_allclose(column, reference, rtol=0, atol=1e-12)
+
+
 def test_brute_force_never_leaves_the_sector():
     # dynamics from the discharged state stays inside the symmetric ladder
     params = ModelParams(g=0.9, omega=1.2)

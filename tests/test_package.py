@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import re
@@ -6,6 +7,9 @@ from pathlib import Path
 import dicke_battery
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(dicke_battery.__file__).resolve().parent
+# every module a simulate, sweep or compare run goes through
+RUN_PATH = ("hilbert", "operators", "spectra", "dynamics", "observables", "analysis")
 
 
 def test_version_is_a_string():
@@ -26,3 +30,25 @@ def test_readme_quick_start_prints_what_its_comment_states():
     assert len(printed) == len(prefixes) == 2
     for value, prefix in zip(printed, prefixes):
         assert value.startswith(prefix), (value, prefix)
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Dotted names of everything a module imports, relative imports without their dots."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+def test_run_path_modules_do_not_import_the_oracle():
+    # the references stay outside the code they check
+    for module in RUN_PATH:
+        source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+        imported = _imported_modules(ast.parse(source))
+        leaks = sorted(name for name in imported if "oracle" in name.split("."))
+        assert not leaks, (module, leaks)
