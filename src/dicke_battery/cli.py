@@ -434,7 +434,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.photons_per_spin is not None:
         if not 0 < args.photons_per_spin < math.inf:
             raise ConfigError("--photons-per-spin must be positive and finite")
-        photon_lists = {N: [int(round(args.photons_per_spin * N))] for N in spins}
+        try:
+            photon_lists = {N: [int(round(args.photons_per_spin * N))] for N in spins}
+        except OverflowError as error:
+            raise ConfigError(f"--photons-per-spin {args.photons_per_spin}: {error}") from error
     else:
         raise ConfigError("sweep needs --photons or --photons-per-spin")
     points = [(N, n) for N in spins for n in photon_lists[N]]

@@ -10,33 +10,31 @@ probability s = sin^2(g sqrt(n) t), so its spin moments are s, s^2,
 Both models end in the same column table, built from the fidelity row,
 the population total and the four spin moments.
 
-An exact run takes one of two routes.  Fidelity reads rung N alone, and
-an exact run that records nothing else never forms an eigenvector: for
-the tridiagonal ladder <N| U(t) |0> is sum_j c_j exp(-i lambda_j t), and
-the end weights c_j = v_0j v_Nj follow from the eigenvalues
-(`spectra.spectral_measure`), so such a run solves for eigenvalues only
-and holds O(dim (chunk + sqrt(steps)) + steps) numbers.  With n < N
-fidelity is identically 0 and nothing is solved.  Every other observable
-reads every rung, and those runs use the ladder's chiral structure: its
-diagonal is zero, so even rungs couple only to odd rungs and
-T = [[0, C], [C^T, 0]] with C a half-size bidiagonal.  From rung 0 the
-even rungs hold U cos(Sigma t) U^T e_0 and the odd rungs
--i W sin(Sigma t) U^T e_0, with C = U Sigma W^T from
-`spectra.chiral_decompose`, so the populations come from two real
-half-size products and no dim x dim or complex array is formed.
-`evolve` applies V exp(-i D t) V^T psi over the full eigensystem of
-`spectra.eigendecompose` at a single time; `oracle.ladder_populations`,
-the same formula over any time array, is the reference for both routes
-and shares no solver or phase table with them.  On the uniform grid
-t_m = m dt the phases factor as
-exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt) with
-m = a B + b and B = ceil(sqrt(steps)), so two tables of about sqrt(steps)
-angles per eigenvalue replace a cos and a sin per sample.  For the rung
-populations their products are formed in real arithmetic, with the
-weights folded into the fine table, in the blocks that go through the
-singular vectors; for the end-to-end amplitude they are one complex
-(coarse, dim) @ (dim, fine) product with the weights c_j folded into the
-fine table.
+An exact run takes one of two routes, both on the ladder's chiral
+structure: its diagonal is zero, so even rungs couple only to odd rungs,
+its eigenvalues pair as +-sigma and each route sums real half-size
+series.  Fidelity reads rung N alone, and an exact run that records
+nothing else never forms an eigenvector: <N| U(t) |0> is
+sum_j w_j cos(sigma_j t) for even N and -i sum_j w_j sin(sigma_j t) for
+odd N, with sigma and the paired end weights w from the eigenvalues alone
+(`spectra.spectral_measure`), so such a run holds
+O(dim (chunk + sqrt(steps)) + steps) numbers.  With n < N fidelity is
+identically 0 and nothing is solved.  Every other observable reads every
+rung, and T = [[0, C], [C^T, 0]] on the even and odd rungs with C a
+half-size bidiagonal.  From rung 0 the even rungs hold
+U cos(Sigma t) U^T e_0 and the odd rungs -i W sin(Sigma t) U^T e_0, with
+C = U Sigma W^T from `spectra.chiral_decompose`, so the populations come
+from two real half-size products.  Neither route forms a dim x dim or a
+complex array.  `evolve` applies V exp(-i D t) V^T psi over the full
+eigensystem of `spectra.eigendecompose` at a single time;
+`oracle.ladder_populations`, the same formula over any time array, is the
+reference for both routes and shares no solver or phase table with them.
+On the uniform grid t_m = m dt the angle sigma t_m splits as
+sigma a B dt + sigma b dt with m = a B + b and B = ceil(sqrt(steps)), so
+two tables of about sqrt(steps) angles per value replace a cos and a sin
+per sample.  Both routes take them from `_phase_tables`, with their
+weights folded into the fine table, and form w cos(sigma t) and
+w sin(sigma t) from them in real arithmetic.
 """
 
 from __future__ import annotations
@@ -154,45 +152,40 @@ def evolve(state: SectorState, eigensystem: EigenSystem, t: float) -> SectorStat
     return SectorState(state.basis, vectors @ phased.real + 1j * (vectors @ phased.imag))
 
 
-def _phase_tables(eigenvalues: np.ndarray, dt: float, steps: int):
-    """Coarse and fine phase tables of the grid t_m = m dt, m < steps.
+def _phase_tables(values: np.ndarray, weights: np.ndarray, dt: float, steps: int):
+    """Coarse and weighted fine phase tables of the grid t_m = m dt, m < steps.
 
-    With B = ceil(sqrt(steps)) and m = a B + b,
-    exp(-i lambda t_m) = exp(-i lambda a B dt) exp(-i lambda b dt), so only
-    the coarse angles lambda a B dt and the fine angles lambda b dt, about
-    2 sqrt(steps) per eigenvalue, go through cos and sin.  Returns the
-    (dim, coarse, 2) table of (cos, sin) pairs of the coarse angles and
-    the cos and sin of the (dim, B) fine angles.
+    With B = ceil(sqrt(steps)) and m = a B + b, the angle sigma t_m is
+    x + y with x = sigma a B dt and y = sigma b dt, so only about
+    2 sqrt(steps) angles per value go through cos and sin.  Returns the
+    (half, coarse, 2) table of (cos x, sin x) pairs and the (half, 3, B)
+    fine rows (w sin y, w cos y, -w sin y), w the weights.  Contracting a
+    (cos x, sin x) pair with rows 1:3 gives w cos(x + y) and with rows 0:2
+    w sin(x + y).
     """
     fine = math.isqrt(steps - 1) + 1
     coarse = -(-steps // fine)
-    angles = np.outer(eigenvalues, np.arange(fine) * dt)
-    cos, sin = np.cos(angles), np.sin(angles)
-    angles = np.outer(eigenvalues, np.arange(0, coarse * fine, fine) * dt)
-    rotations = np.empty((eigenvalues.size, coarse, 2))
+    angles = np.outer(values, np.arange(fine) * dt)
+    folded = np.empty((values.size, 3, fine))
+    np.sin(angles, out=folded[:, 0])
+    np.cos(angles, out=folded[:, 1])
+    folded[:, :2] *= weights[:, None, None]
+    np.negative(folded[:, 0], out=folded[:, 2])
+    angles = np.outer(values, np.arange(0, coarse * fine, fine) * dt)
+    rotations = np.empty((values.size, coarse, 2))
     np.cos(angles, out=rotations[..., 0])
     np.sin(angles, out=rotations[..., 1])
-    return rotations, cos, sin
+    return rotations, folded
 
 
-def _end_amplitudes(eigenvalues: np.ndarray, weights: np.ndarray, dt: float, steps: int):
-    """A(t_m) = sum_j weights_j exp(-i lambda_j t_m) on the grid t_m = m dt, m < steps.
+def _end_amplitudes(values: np.ndarray, weights: np.ndarray, rows: slice, dt: float, steps: int):
+    """sum_j w_j cos(sigma_j t_m) for rows 1:3, sum_j w_j sin(sigma_j t_m) for rows 0:2.
 
-    The coarse and fine tables of `_phase_tables` give A on the (coarse,
-    fine) grid as one complex (coarse, dim) @ (dim, fine) product, with the
-    weights folded into the fine table.  The (cos, sin) pairs of the coarse
-    table are laid out as complex cos + i sin, so its complex table is that
-    memory conjugated in place; the fine one replaces its real pair.
+    On the grid t_m = m dt, m < steps: one real contraction of the coarse
+    table of `_phase_tables` with that pair of its weighted fine rows.
     """
-    rotations, cos, sin = _phase_tables(eigenvalues, dt, steps)
-    coarse_phases = rotations.view(complex)[..., 0]
-    np.conjugate(coarse_phases, out=coarse_phases)
-    fine_phases = np.empty(cos.shape, dtype=complex)
-    np.multiply(cos, weights[:, None], out=fine_phases.real)
-    del cos
-    np.multiply(sin, -weights[:, None], out=fine_phases.imag)
-    del sin
-    return (coarse_phases.T @ fine_phases).ravel()[:steps]
+    rotations, folded = _phase_tables(values, weights, dt, steps)
+    return np.tensordot(rotations, folded[:, rows], axes=([0, 2], [0, 1])).ravel()[:steps]
 
 
 def _held_past_t_off(times: np.ndarray, t_off: float, sample) -> np.ndarray:
@@ -299,17 +292,8 @@ def _chiral_populations(
     the squares of the two halves interleaved.
     """
     half = values.size
-    rotations, cos, sin = _phase_tables(values, dt, steps)
-    coarse, fine = rotations.shape[1], cos.shape[1]
-    weights = evens[0][:, None]
-    # a cos(x + y) = cos x (a cos y) + sin x (-a sin y) and
-    # a sin(x + y) = cos x (a sin y) + sin x (a cos y): rows a sin, a cos, -a sin,
-    # so that both pairs are contiguous
-    folded = np.empty((half, 3, fine))
-    np.multiply(sin, weights, out=folded[:, 0])
-    np.multiply(cos, weights, out=folded[:, 1])
-    np.negative(folded[:, 0], out=folded[:, 2])
-    block = np.empty((half, coarse, fine))
+    rotations, folded = _phase_tables(values, evens[0], dt, steps)
+    block = np.empty((half, rotations.shape[1], folded.shape[2]))
     populations = np.empty((evens.shape[0] + odds.shape[0], steps))
     np.matmul(rotations, folded[:, 1:3], out=block)
     np.square((evens @ block.reshape(half, -1))[:, :steps], out=populations[0::2])
@@ -319,18 +303,20 @@ def _chiral_populations(
 
 
 def _end_to_end_fidelity(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
-    """|<N| U(t) |0>|^2 of the exact model from its eigenvalues and end weights.
+    """|<N| U(t) |0>|^2 of the exact model from its paired spectral measure.
 
     With n < N the fully charged product state lies outside the sector and
     the fidelity is 0 with nothing solved.  With n >= N rung N is the top
-    rung of the ladder, so the amplitude is sum_j c_j exp(-i lambda_j t)
-    with c_j = v_0j v_Nj from `spectral_measure`; no eigenvector is formed.
-    Frozen at its t_off value past t_off.
+    rung of the ladder, so from `spectral_measure` the amplitude is
+    sum_j w_j cos(sigma_j t) for even N and -i sum_j w_j sin(sigma_j t) for
+    odd N, a real half-size series; no eigenvector is formed.  Frozen at
+    its t_off value past t_off.
     """
     if config.basis.n < config.basis.N:
         return np.zeros_like(times)
     values, weights = spectral_measure(sector_operator(config.basis, config.params, config.model))
+    rows = slice(0, 2) if config.basis.N % 2 else slice(1, 3)
     amplitudes = _held_past_t_off(
-        times, config.params.t_off, functools.partial(_end_amplitudes, values, weights)
+        times, config.params.t_off, functools.partial(_end_amplitudes, values, weights, rows)
     )
-    return amplitudes.real**2 + amplitudes.imag**2
+    return amplitudes**2

@@ -119,8 +119,8 @@ def brute_force_trajectory(N: int, n: int, params: ModelParams, times) -> list[F
     decreases from n), which is verified for every returned state.
     """
     for t in times:
-        if t < 0:
-            raise ValueError(f"time must be non-negative, got {t}")
+        if not 0 <= t < math.inf:
+            raise ValueError(f"time must be non-negative and finite, got {t}")
     n_max = n + N + 2
     _check_sizes(N, n_max)
     H = brute_force_hamiltonian(N, n_max, params)
@@ -131,7 +131,7 @@ def brute_force_trajectory(N: int, n: int, params: ModelParams, times) -> list[F
     for t in times:
         state = FullState(N=N, n_max=n_max, vector=vectors @ (np.exp(-1j * values * t) * weights))
         leakage = fock_level_population(state, n_max)
-        if leakage >= LEAKAGE_TOL:
+        if not leakage < LEAKAGE_TOL:
             raise TruncationError(
                 f"top Fock level holds population {leakage}, margin n_max={n_max} too tight"
             )

@@ -2,12 +2,13 @@
 
 Numerical routes: LAPACK's solvers for real symmetric tridiagonal
 matrices, either for the full eigensystem or, through `spectral_measure`,
-for the eigenvalues and the end-to-end weights v_0j v_{D-1,j} alone; and,
-through `chiral_decompose`, the singular value decomposition of the
-even-to-odd block of a zero-diagonal ladder, half the size of the
-ladder.  Analytic route, valid for the large-photon
-operator: the equally spaced ladder spectrum g*sqrt(n)*(N - 2k) and
-eigenvectors built from a binomial-weighted family of polynomials
+for the non-negative half sigma of a zero-diagonal ladder's +-sigma
+spectrum and its paired end-to-end weights alone; and, through
+`chiral_decompose`, the singular value decomposition of the even-to-odd
+block of a zero-diagonal ladder, half the size of the ladder.  Analytic
+route, valid for the large-photon operator: the equally spaced ladder
+spectrum g*sqrt(n)*(N - 2k) and eigenvectors built from a
+binomial-weighted family of polynomials
 
     P_0 = 1,  P_1(xi) = N - 2 xi,
     P_k(xi) = (N - 2 xi) P_{k-1}(xi) - (k - 1)(N - k + 2) P_{k-2}(xi),
@@ -33,11 +34,11 @@ from .operators import TridiagonalOperator
 
 # smallest eigenvalue gap over spectral radius that spectral_measure accepts.
 # An eigenvalue carries an absolute error of a few eps times the radius, so a
-# factor lambda_j - lambda_i of the weight product is good to about
+# factor sigma_j^2 - sigma_i^2 of the weight product is good to about
 # eps / ratio: 2e-10 at the bound.  Every physical ladder up to N = n = 10^4
 # sits at 6.2e-5 or more.
 MIN_RELATIVE_GAP = 1e-6
-# rows of the (rows, dim) difference block formed at a time
+# rows of the (rows, half) difference block formed at a time
 MEASURE_CHUNK = 128
 
 
@@ -92,39 +93,43 @@ def eigendecompose(operator: TridiagonalOperator) -> EigenSystem:
 
 
 def spectral_measure(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and end weights c_j = v_0j v_{D-1,j}, no eigenvectors.
+    """Non-negative half sigma of a zero-diagonal ladder's spectrum and paired end weights.
 
-    For a Jacobi matrix the weights follow from the eigenvalues alone,
-    c_j = prod_k b_k / prod_{i != j} (lambda_j - lambda_i) with b_k the
-    off-diagonals (Golub & Welsch, Math. Comp. 23, 221 (1969); Parlett,
-    The Symmetric Eigenvalue Problem, ch. 7), so <D-1| exp(-i T t) |0> is
-    sum_j c_j exp(-i lambda_j t).  Both products are summed as logs of
-    magnitudes.  Every factor is first divided by the power of two nearest
-    the geometric mean of |b|: the scaling is exact, cancels between the
-    two products and centres the logs on 0, so the sums round like sums of
-    small numbers: at dim 4097, c is within 2.6e-13 of max |c| of an 80-bit
-    evaluation on the same eigenvalues.  For ascending eigenvalues
-    prod_{i != j} has D-1-j negative factors, so the sign of c_j is
-    (-1)^(D-1-j) times the sign of prod b_k.  The differences are formed
-    MEASURE_CHUNK rows at a time, so no (D, D) array exists.  Raises
-    :class:`EigenSolverError` when the smallest gap falls below
-    MIN_RELATIVE_GAP times the spectral radius, where the weights would
-    be rounding noise.
+    A zero diagonal pairs the eigenvalues as +-sigma (one 0 for an odd
+    dimension D), and the eigenvector of -sigma is that of sigma with its
+    odd rungs negated.  So the Jacobi end weights v_0j v_{D-1,j} =
+    prod_k b_k / prod_{i != j} (lambda_j - lambda_i) of each pair (Golub &
+    Welsch, Math. Comp. 23, 221 (1969)) combine: <D-1| exp(-i T t) |0> is
+    sum_j w_j cos(sigma_j t) for odd D and -i sum_j w_j sin(sigma_j t) for
+    even D, with w_j = prod_k b_k / prod_{i != j} (sigma_j^2 - sigma_i^2),
+    also divided by sigma_j for even D.  sigma is the upper half of LAPACK
+    dsterf's eigenvalues.  Both products are summed as logs of magnitudes,
+    every factor first divided by the power of two nearest the geometric
+    mean of |b|: exact, cancelling, and centring the logs on 0.  The
+    product over i != j has half-1-j negative factors, which with the sign
+    of prod b_k gives the sign of w_j.  Differences are formed
+    MEASURE_CHUNK rows at a time.  Raises ValueError for a nonzero
+    diagonal, and :class:`EigenSolverError` when the smallest gap of the
+    full spectrum is below MIN_RELATIVE_GAP times the spectral radius,
+    where the weights would be rounding noise.
     """
+    if np.any(operator.diagonal):
+        raise ValueError("the paired spectral measure needs a zero diagonal")
     dim = operator.dimension
     if dim == 1:
-        return operator.diagonal.copy(), np.ones(1)
+        return np.zeros(1), np.ones(1)
     # dsterf, the root-free QR routine behind eigvalsh_tridiagonal, called
     # without its argument handling: the same eigenvalues bit for bit, 40 us sooner
     values, info = scipy.linalg.lapack.dsterf(operator.diagonal, operator.offdiagonal)
     if info:
         raise EigenSolverError(f"tridiagonal eigensolver did not converge: dsterf info {info}")
+    sigma = values[dim // 2 :]
+    half = sigma.size
     sign = float(np.prod(np.sign(operator.offdiagonal)))
     if sign == 0.0:
         # a zero coupling cuts the ladder: no path joins its two ends
-        return values, np.zeros(dim)
-    radius = max(-values[0], values[-1])
-    gap = float(np.min(np.diff(values))) / radius
+        return sigma, np.zeros(half)
+    gap = float(np.min(np.diff(values))) / values[-1]
     if gap < MIN_RELATIVE_GAP:
         raise EigenSolverError(
             f"eigenvalue gap {gap:.3e} of the spectral radius is below {MIN_RELATIVE_GAP:.0e}: "
@@ -132,20 +137,23 @@ def spectral_measure(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndar
         )
     magnitudes = np.abs(operator.offdiagonal)
     scale = 2.0 ** -round(float(np.mean(np.log2(magnitudes))))
-    scaled = values * scale
-    log_weights = np.full(dim, np.sum(np.log(magnitudes * scale)))
-    block = np.empty((min(MEASURE_CHUNK, dim), dim))
-    for start in range(0, dim, MEASURE_CHUNK):
-        rows = scaled[start : start + MEASURE_CHUNK]
-        differences = np.subtract(rows[:, None], scaled, out=block[: rows.size])
+    scaled = sigma * scale
+    log_weights = np.full(half, np.sum(np.log(magnitudes * scale)))
+    if dim % 2 == 0:
+        log_weights -= np.log(scaled)
+    squares = scaled**2
+    block = np.empty((min(MEASURE_CHUNK, half), half))
+    for start in range(0, half, MEASURE_CHUNK):
+        rows = squares[start : start + MEASURE_CHUNK]
+        differences = np.subtract(rows[:, None], squares, out=block[: rows.size])
         # the i = j factor is left out of the product: log 1 = 0
-        differences.ravel()[start :: dim + 1] = 1.0
+        differences.ravel()[start :: half + 1] = 1.0
         np.abs(differences, out=differences)
         log_weights[start : start + rows.size] -= np.sum(np.log(differences, out=differences), axis=1)
     weights = np.exp(log_weights)
     weights *= sign
-    weights[dim - 2 :: -2] *= -1.0
-    return values, weights
+    weights[-2::-2] *= -1.0
+    return sigma, weights
 
 
 @functools.cache

@@ -301,10 +301,11 @@ def test_verify_reports_corruption(capsys, monkeypatch):
 
     true_tables = cli.dynamics._phase_tables
 
-    def flipped_sine(eigenvalues, dt, steps):
-        # the fine sine table negated, shared by both exact run routes
-        rotations, cos, sin = true_tables(eigenvalues, dt, steps)
-        return rotations, cos, -sin
+    def flipped_sine(values, weights, dt, steps):
+        # the weighted fine sine rows negated, shared by both exact run routes
+        rotations, folded = true_tables(values, weights, dt, steps)
+        folded[:, 0::2] *= -1.0
+        return rotations, folded
 
     for module, name, poison, caught_by, spared in (
         (cli.spectra, "analytic_eigenvalues", skewed, ("ladder eigenvalues",), ()),
@@ -527,6 +528,18 @@ def test_sweep_flag_validation(capsys):
     assert run_cli(capsys, ["sweep", "--spins", "2"])[0] == 2
     assert run_cli(capsys, ["sweep", "--spins", "2", "--photons", "4", "--steps", "1"])[0] == 2
     assert run_cli(capsys, ["sweep", "--spins", "2:x", "--photons", "4"])[0] == 2
+
+
+def test_sweep_photon_overflow_is_usage_error(capsys, monkeypatch):
+    # 1e308 photons per spin times 10 spins is no float, let alone a photon count
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(cli.analysis, "flip_summary", not_reached)
+    code, out, err = run_cli(capsys, ["sweep", "--spins", "10", "--photons-per-spin", "1e308"])
+    assert code == 2
+    assert out == ""
+    assert "--photons-per-spin" in err
 
 
 @pytest.mark.parametrize("grid", [

@@ -456,23 +456,25 @@ def test_chiral_populations_match_eigenvector_propagation(N, n, t_off):
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 17, 20001, 20022])
 def test_phase_tables_match_direct_phases(steps):
-    # dyadic eigenvalues and step make every angle lambda m dt exact in both
-    # routes, so the comparison sees only the coarse x fine factorization
+    # dyadic values, weights and step make every angle lambda m dt and every
+    # weighted table entry exact in both routes, so the comparison sees only
+    # the coarse x fine factorization
     eigenvalues = np.array([-1.0, -0.6875, -0.25, 0.0, 0.0078125, 0.5, 0.875, 1.0])
+    weights = np.array([0.5, -0.75, 0.25, 1.0, -0.125, 0.875, -1.0, 0.375])
     dt = 0.5 if steps > 100 else 0.75
-    rotations, cos, sin = dynamics._phase_tables(eigenvalues, dt, steps)
-    coarse, fine = rotations.shape[1], cos.shape[1]
+    rotations, folded = dynamics._phase_tables(eigenvalues, weights, dt, steps)
+    coarse, fine = rotations.shape[1], folded.shape[2]
     # the grid m = a fine + b covers every sample, with less than one fine row to spare
     assert steps <= coarse * fine < steps + fine
-    # exp(-i (x + y)) = (cos x - i sin x)(cos y - i sin y)
-    coarse_phases = rotations[..., 0] - 1j * rotations[..., 1]
-    fine_phases = cos - 1j * sin
-    phases = (coarse_phases[:, :, None] * fine_phases[:, None, :]).reshape(8, -1)[:, :steps]
+    # (cos x, sin x) against rows 1:3 gives w cos(x + y), against rows 0:2 w sin(x + y)
+    cosines = (rotations @ folded[:, 1:3]).reshape(8, -1)[:, :steps]
+    sines = (rotations @ folded[:, 0:2]).reshape(8, -1)[:, :steps]
     times = np.arange(steps) * dt
     if steps == 20001:
         assert eigenvalues.max() * times[-1] >= 1e4
-    reference = np.exp(-1j * np.outer(eigenvalues, times))
-    np.testing.assert_allclose(phases, reference, rtol=0, atol=1e-12)
+    angles = np.outer(eigenvalues, times)
+    np.testing.assert_allclose(cosines, weights[:, None] * np.cos(angles), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sines, weights[:, None] * np.sin(angles), rtol=0, atol=1e-12)
 
 
 def test_series_validation():

@@ -138,3 +138,9 @@ def test_evolve_input_validation():
         oracle.brute_force_trajectory(2, 3, ModelParams(), [0.5, -1.0])
     with pytest.raises(ValueError, match="photon number"):
         oracle.discharged_state(2, 7, 5)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_trajectory_refuses_times_that_are_not_finite(t):
+    with pytest.raises(ValueError, match="finite"):
+        oracle.brute_force_trajectory(2, 3, ModelParams(), [0.5, t])

@@ -5,6 +5,7 @@ import pytest
 
 import scipy.linalg
 
+from dicke_battery.analysis import universal_flip_time
 from dicke_battery.hilbert import build_sector
 from dicke_battery.operators import ModelParams, TridiagonalOperator, exact_tc_matrix, large_n_matrix
 from dicke_battery.spectra import (
@@ -49,42 +50,60 @@ def test_eigensystem_requires_sorted_values():
 @pytest.mark.parametrize("N, n", [(1, 1), (1, 7), (40, 40), (40, 900), (2000, 2000)])
 def test_end_weights_match_eigenvector_ends(N, n):
     operator = exact_tc_matrix(build_sector(N, n), ModelParams(g=0.8))
-    values, weights = spectral_measure(operator)
+    dim = operator.dimension
+    sigma, weights = spectral_measure(operator)
+    # bit for bit the upper half of scipy's public eigenvalue-only solver
+    values = scipy.linalg.eigvalsh_tridiagonal(operator.diagonal, operator.offdiagonal)
+    np.testing.assert_array_equal(sigma, values[dim // 2 :])
     eig = eigendecompose(operator)
-    reference = eig.eigenvectors[0] * eig.eigenvectors[-1]
-    # bit for bit the eigenvalues of scipy's public eigenvalue-only solver
-    np.testing.assert_array_equal(
-        values, scipy.linalg.eigvalsh_tridiagonal(operator.diagonal, operator.offdiagonal)
-    )
-    np.testing.assert_allclose(values, eig.eigenvalues, rtol=0, atol=1e-13 * np.max(np.abs(values)))
-    scale = np.max(np.abs(reference))
-    np.testing.assert_allclose(weights, reference, rtol=0, atol=1e-12 * scale)
-    # sum_j v_0j v_Nj = <0|N> = 0, to the rounding of a dim-term sum
-    assert abs(weights.sum()) < operator.dimension * np.finfo(float).eps * np.abs(weights).sum()
+    ends = eig.eigenvectors[0] * eig.eigenvectors[-1]
+    # <N| exp(-i T t) |0> over the full spectrum, across the flip window
+    times = universal_flip_time(N, 0.8, n) * np.array([0.0, 0.3, 1.0, 2.5])
+    reference = ends @ np.exp(-1j * np.outer(eig.eigenvalues, times))
+    angles = np.outer(sigma, times)
+    paired = weights @ np.cos(angles) if dim % 2 else -1j * (weights @ np.sin(angles))
+    np.testing.assert_allclose(paired, reference, rtol=0, atol=1e-12 * np.max(np.abs(ends)))
+    if dim % 2:
+        # sum_j w_j = <N|0> = 0, to the rounding of a half-term sum
+        assert abs(weights.sum()) < dim * np.finfo(float).eps * np.abs(weights).sum()
 
 
 def test_end_weights_carry_signs_of_a_general_jacobi_matrix():
     rng = np.random.default_rng(3)
-    operator = TridiagonalOperator(diagonal=rng.normal(size=12), offdiagonal=rng.normal(size=11))
-    assert np.any(operator.offdiagonal < 0)
-    _, weights = spectral_measure(operator)
-    eig = eigendecompose(operator)
-    np.testing.assert_allclose(weights, eig.eigenvectors[0] * eig.eigenvectors[-1], atol=1e-14)
+    for dim in (11, 12):
+        operator = TridiagonalOperator(np.zeros(dim), rng.normal(size=dim - 1))
+        assert np.any(operator.offdiagonal < 0)
+        _, weights = spectral_measure(operator)
+        eig = eigendecompose(operator)
+        ends = eig.eigenvectors[0] * eig.eigenvectors[-1]
+        # w pairs the end weights of sigma and -sigma as c(sigma) + (-1)^(dim-1) c(-sigma),
+        # and takes the 0 of an odd ladder once
+        paired = ends[dim // 2 :].copy()
+        paired[dim % 2 :] += (-1) ** (dim - 1) * ends[dim // 2 - 1 :: -1]
+        np.testing.assert_allclose(weights, paired, rtol=0, atol=1e-14)
+
+
+def test_spectral_measure_refuses_a_nonzero_diagonal():
+    operator = exact_tc_matrix(build_sector(4, 10), ModelParams())
+    detuned = TridiagonalOperator(0.1 * np.arange(operator.dimension), operator.offdiagonal)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        spectral_measure(detuned)
 
 
 def test_end_weights_of_trivial_and_cut_ladders():
-    values, weights = spectral_measure(TridiagonalOperator(np.array([0.3]), np.zeros(0)))
-    np.testing.assert_array_equal(values, [0.3])
+    sigma, weights = spectral_measure(TridiagonalOperator(np.zeros(1), np.zeros(0)))
+    np.testing.assert_array_equal(sigma, [0.0])
     np.testing.assert_array_equal(weights, [1.0])
-    _, weights = spectral_measure(TridiagonalOperator(np.arange(3.0), np.array([1.0, 0.0])))
+    sigma, weights = spectral_measure(TridiagonalOperator(np.zeros(3), np.array([1.0, 0.0])))
+    assert sigma.shape == weights.shape == (2,)
     np.testing.assert_array_equal(weights, 0.0)
 
 
 def test_end_weights_refuse_a_near_degenerate_spectrum():
-    # Wilkinson's W21+: its top eigenvalue pairs agree to about 1e-14 of the radius
-    wilkinson = TridiagonalOperator(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
-    with pytest.raises(EigenSolverError, match="gap"):
-        spectral_measure(wilkinson)
+    # two unit dimers joined by 1e-9: the pairs near +-1 split by about 1e-9
+    weak = TridiagonalOperator(np.zeros(4), np.array([1.0, 1e-9, 1.0]))
+    with pytest.raises(EigenSolverError, match="gap 1.000e-09"):
+        spectral_measure(weak)
 
 
 def _even_to_odd_block(operator):
